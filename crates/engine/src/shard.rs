@@ -37,7 +37,16 @@
 //!   A full queue parks the *connection* (the job is retried once the
 //!   shard drains), never the router thread — backpressure is
 //!   per-connection, exactly like the write high-water mark.
-//! * Dispatch is **serial per connection**: one request in flight at a
+//! * The unit of dispatch is a **run**: the longest prefix of a
+//!   connection's decoded requests that all route to the same shard
+//!   (ending before a `stats`/`shutdown`, a malformed item, or the
+//!   first request homed elsewhere; at most `MAX_RUN` long). A run
+//!   crosses as one job; the shard executes its requests strictly in
+//!   order and mails all their replies back as one completion, so a
+//!   pipelined batch pays one queue push, one wake and one socket
+//!   write instead of one per request. A run never waits for input
+//!   that has not arrived.
+//! * Dispatch is **serial per connection**: one run in flight at a
 //!   time, so responses come back in request order on every connection
 //!   and a 1-shard and an N-shard server answer the same single-client
 //!   transcript with byte-identical response *content* (`elapsed_ms`
@@ -95,29 +104,40 @@ pub fn routing_shard(graph: Option<&str>, file: Option<&str>, shards: usize) -> 
     (hash % shards as u64) as usize
 }
 
-/// One request crossing from the router to a shard. `worker`/`slot`/
-/// `gen` address the owning connection so the completion finds its way
-/// back (and is dropped if the connection died and its slot was
-/// reused — the generation check).
+/// Most requests in one run. A run's replies reach the write buffer in
+/// one splice, so this bounds how far one completion can overshoot the
+/// write high-water mark that gates the next dispatch.
+const MAX_RUN: usize = 64;
+
+/// One decoded request. `op` is the opcode-carried op for binary
+/// requests; JSONL requests resolve the op from their fields, exactly
+/// like [`handle_fields`].
+struct Request {
+    op: Option<&'static str>,
+    fields: Vec<(String, Value)>,
+}
+
+/// One run crossing from the router to a shard. `worker`/`slot`/`gen`
+/// address the owning connection so the completion finds its way back
+/// (and is dropped if the connection died and its slot was reused —
+/// the generation check).
 struct ShardJob {
     worker: usize,
     slot: usize,
     gen: u64,
-    fields: Vec<(String, Value)>,
-    /// Opcode-carried op for binary requests; JSONL requests resolve
-    /// the op from their fields, exactly like [`handle_fields`].
-    op: Option<&'static str>,
-    /// Encode the reply as a binary frame rather than a JSONL line.
+    /// Requests that all route to this shard, in connection order.
+    run: Vec<Request>,
+    /// Encode the replies as binary frames rather than JSONL lines.
     binary: bool,
 }
 
-/// A finished job's pre-encoded reply, homed to `(slot, gen)` on the
-/// router worker that owns the connection.
+/// A finished run's pre-encoded replies, concatenated in request order
+/// and homed to `(slot, gen)` on the router worker that owns the
+/// connection.
 struct Completion {
     slot: usize,
     gen: u64,
     bytes: Vec<u8>,
-    shutdown: bool,
 }
 
 struct QueueState {
@@ -359,32 +379,60 @@ impl RouterShared {
 /// A queued piece of work extracted from a connection's read buffer,
 /// dispatched strictly in order.
 enum PendingItem {
-    /// A request still to be routed (or answered inline).
-    Req {
-        op: Option<&'static str>,
-        fields: Vec<(String, Value)>,
-    },
-    /// A per-request decode error: the reply is fixed, the stream stays
-    /// synchronized (pre-encoded for the connection's wire mode).
-    BadReq { bytes: Vec<u8> },
-    /// Frame-level damage: emit the reply, then the connection closes
-    /// (its input was already discarded at extraction).
-    Poison { bytes: Vec<u8> },
+    /// A request homed to shard `shard` by [`routing_shard`].
+    Routed { shard: usize, request: Request },
+    /// `stats` or `shutdown`: concerns the whole server, so the router
+    /// answers it inline.
+    Inline { shutdown: bool, request: Request },
+    /// A pre-encoded error reply: a per-request decode error (the
+    /// stream stays synchronized), or frame-level damage (the
+    /// connection closes after it; its input was already discarded at
+    /// extraction).
+    Error { bytes: Vec<u8> },
+}
+
+impl PendingItem {
+    /// Classifies a decoded request by where it is answered.
+    fn request(request: Request, shards: usize) -> Self {
+        let op = request
+            .op
+            .or_else(|| minijson::get(&request.fields, "op").and_then(Value::as_str));
+        match op {
+            Some("stats") => PendingItem::Inline {
+                shutdown: false,
+                request,
+            },
+            Some("shutdown") => PendingItem::Inline {
+                shutdown: true,
+                request,
+            },
+            _ => {
+                let graph = minijson::get(&request.fields, "graph").and_then(Value::as_str);
+                let file = minijson::get(&request.fields, "file").and_then(Value::as_str);
+                PendingItem::Routed {
+                    shard: routing_shard(graph, file, shards),
+                    request,
+                }
+            }
+        }
+    }
 }
 
 /// One connection owned by a router worker. `gen` disambiguates slab
-/// slot reuse; `parked` holds a job bounced off a full shard queue.
+/// slot reuse; `parked` holds a run bounced off a full shard queue;
+/// `due` marks the connection for a service pass this loop turn.
 struct RouterConn {
     conn: Connection,
     gen: u64,
     pending: VecDeque<PendingItem>,
     parked: Option<(usize, ShardJob)>,
     in_flight: bool,
+    due: bool,
 }
 
 impl RouterConn {
     /// Read more bytes only when the connection could act on them:
-    /// not while a request is in flight, parked, or queued — that is
+    /// not while a run is in flight, parked, or queued — that is
     /// the per-connection backpressure that bounds router memory.
     fn wants_read(&self) -> bool {
         !self.conn.dead
@@ -468,7 +516,7 @@ pub(crate) fn run_router(
     std::thread::scope(|s| {
         for (index, rx) in receivers.into_iter().enumerate() {
             let shared = &shared;
-            s.spawn(move || router_event_loop(runtime, policy, metrics, shared, index, rx));
+            s.spawn(move || router_event_loop(runtime, metrics, shared, index, rx));
         }
         for shard in 0..runtime.engines.len() {
             for _ in 0..workers {
@@ -504,9 +552,10 @@ pub(crate) fn run_router(
     })
 }
 
-/// One shard's executor: pop, run against **this shard's** engine and
-/// metrics only (the whole isolation invariant is visible right here),
-/// encode, mail the completion home.
+/// One shard's executor: pop a run, execute its requests in order
+/// against **this shard's** engine and metrics only (the whole
+/// isolation invariant is visible right here), encode every reply into
+/// one buffer, mail it home as one completion.
 fn executor_loop(
     runtime: &ShardRuntime,
     shard: usize,
@@ -536,20 +585,24 @@ fn executor_loop(
             runtime.holds[shard].wait(metrics);
             continue;
         }
-        let (response, outcome) = handle_fields(
-            &runtime.engines[shard],
-            policy,
-            &runtime.shard_metrics[shard],
-            &job.fields,
-            job.op,
-        );
-        let mut bytes = Vec::with_capacity(response.len() + 16);
-        encode_response(job.binary, &response, &mut bytes);
+        let mut bytes = Vec::new();
+        for request in &job.run {
+            let (response, outcome) = handle_fields(
+                &runtime.engines[shard],
+                policy,
+                &runtime.shard_metrics[shard],
+                &request.fields,
+                request.op,
+            );
+            // `shutdown` is classified inline at extraction, with the
+            // same op resolution `handle_fields` uses.
+            debug_assert!(!matches!(outcome, LineOutcome::Shutdown));
+            encode_response(job.binary, &response, &mut bytes);
+        }
         let completion = Completion {
             slot: job.slot,
             gen: job.gen,
             bytes,
-            shutdown: matches!(outcome, LineOutcome::Shutdown),
         };
         let home = &shared.slots[job.worker];
         home.completions
@@ -588,13 +641,11 @@ struct RouterCtx<'a> {
 /// happens on this thread — a router turn is pure I/O plus hashing.
 fn router_event_loop(
     runtime: &ShardRuntime,
-    policy: &ResourcePolicy,
     metrics: &ServeMetrics,
     shared: &RouterShared,
     index: usize,
     wake_rx: WakeReceiver,
 ) {
-    let _ = policy; // engine work (and its policy) lives on the executors
     let ctx = RouterCtx {
         runtime,
         global: metrics,
@@ -629,6 +680,7 @@ fn router_event_loop(
                         pending: VecDeque::new(),
                         parked: None,
                         in_flight: false,
+                        due: false,
                     };
                     match free.pop() {
                         Some(slot) => conns[slot] = Some(rc),
@@ -670,31 +722,24 @@ fn router_event_loop(
         }
         let mut saw_shutdown = false;
         // Splice completed replies home first, so the service pass
-        // below can flush them and dispatch each connection's next
-        // request in the same turn.
-        let mut touched: Vec<usize> = Vec::new();
-        apply_completions(&ctx, &mut conns, &mut touched, &mut saw_shutdown);
+        // below can flush them and dispatch each connection's next run
+        // in the same turn.
+        apply_completions(&ctx, &mut conns);
         for (pfd, &slot) in fds[1..].iter().zip(&fd_slots) {
-            if pfd.ready(POLLIN | POLLOUT | crate::readiness::POLLERR | crate::readiness::POLLHUP)
-                && !touched.contains(&slot)
-            {
-                touched.push(slot);
-            }
-        }
-        // Parked connections get a turn every wake: the executor that
-        // freed queue capacity woke this loop, and the retry lives in
-        // the dispatch path.
-        for (slot, entry) in conns.iter().enumerate() {
-            if let Some(rc) = entry {
-                if rc.parked.is_some() && !touched.contains(&slot) {
-                    touched.push(slot);
+            if pfd.ready(POLLIN | POLLOUT | crate::readiness::POLLERR | crate::readiness::POLLHUP) {
+                if let Some(rc) = conns[slot].as_mut() {
+                    rc.due = true;
                 }
             }
         }
-        for &slot in &touched {
-            let Some(rc) = conns[slot].as_mut() else {
+        for (slot, entry) in conns.iter_mut().enumerate() {
+            let Some(rc) = entry else { continue };
+            // Parked connections get a turn every wake: the executor
+            // that freed queue capacity woke this loop, and the retry
+            // lives in the dispatch path.
+            if !std::mem::take(&mut rc.due) && rc.parked.is_none() {
                 continue;
-            };
+            }
             service_conn(&ctx, rc, slot, &mut saw_shutdown);
             if saw_shutdown {
                 break;
@@ -720,9 +765,7 @@ fn router_event_loop(
     // Shutdown drain: deliver any replies already mailed back, then one
     // best-effort flush per connection — never blocking on a slow
     // client, mirroring the single-engine pool's drain.
-    let mut touched = Vec::new();
-    let mut saw = false;
-    apply_completions(&ctx, &mut conns, &mut touched, &mut saw);
+    apply_completions(&ctx, &mut conns);
     for rc in conns.iter_mut().flatten() {
         if !rc.conn.dead {
             rc.conn.flush();
@@ -734,13 +777,9 @@ fn router_event_loop(
 
 /// Drains this worker's completion mailbox into the owning
 /// connections' write buffers (generation-checked, so a reply for a
-/// dead, reclaimed slot is dropped on the floor).
-fn apply_completions(
-    ctx: &RouterCtx<'_>,
-    conns: &mut [Option<RouterConn>],
-    touched: &mut Vec<usize>,
-    saw_shutdown: &mut bool,
-) {
+/// dead, reclaimed slot is dropped on the floor) and marks each
+/// receiving connection due for service.
+fn apply_completions(ctx: &RouterCtx<'_>, conns: &mut [Option<RouterConn>]) {
     let completions: Vec<Completion> = {
         let mut mailbox = ctx.shared.slots[ctx.worker]
             .completions
@@ -749,12 +788,6 @@ fn apply_completions(
         mailbox.drain(..).collect()
     };
     for completion in completions {
-        if completion.shutdown {
-            // Defensive: shards never see shutdown ops (the router
-            // answers them inline), but honor the latch if one slips
-            // through a future op.
-            *saw_shutdown = true;
-        }
         let Some(rc) = conns.get_mut(completion.slot).and_then(Option::as_mut) else {
             continue;
         };
@@ -763,15 +796,13 @@ fn apply_completions(
         }
         rc.conn.wbuf.extend_from_slice(&completion.bytes);
         rc.in_flight = false;
-        if !touched.contains(&completion.slot) {
-            touched.push(completion.slot);
-        }
+        rc.due = true;
     }
 }
 
 /// One connection's service turn: read, dispatch in strict order
-/// (parked retry → pending items → fresh extraction), flush. The
-/// backlog-retry dance mirrors `Connection::service`.
+/// (parked run → pending items, after extracting fresh input), flush.
+/// The backlog-retry dance mirrors `Connection::service`.
 fn service_conn(ctx: &RouterCtx<'_>, rc: &mut RouterConn, slot: usize, saw_shutdown: &mut bool) {
     loop {
         let was_backlogged = rc.conn.backlogged();
@@ -797,7 +828,9 @@ fn service_conn(ctx: &RouterCtx<'_>, rc: &mut RouterConn, slot: usize, saw_shutd
     }
 }
 
-/// Advances one connection as far as the serial-dispatch rule allows.
+/// Advances one connection as far as the serial-dispatch rule allows:
+/// extracts everything complete in the read buffer, then answers
+/// inline items and hands runs to shards until one run is in flight.
 /// Returns whether anything moved.
 fn dispatch(
     ctx: &RouterCtx<'_>,
@@ -805,108 +838,102 @@ fn dispatch(
     slot: usize,
     saw_shutdown: &mut bool,
 ) -> bool {
-    let mut progressed = false;
+    let mut progressed = extract_all(ctx, rc);
     loop {
         if rc.conn.dead || *saw_shutdown {
             return progressed;
         }
-        // Retry a job bounced off a full shard queue before anything
+        // Retry a run bounced off a full shard queue before anything
         // else — order is sacred.
         if let Some((shard, job)) = rc.parked.take() {
-            match ctx.runtime.queues[shard].try_push(job, ctx.worker) {
-                Ok(()) => {
-                    ctx.runtime.routed[shard].fetch_add(1, Ordering::Relaxed);
-                    rc.in_flight = true;
-                    progressed = true;
-                }
-                Err(job) => {
-                    rc.parked = Some((shard, job));
-                    return progressed;
-                }
+            if !push_run(ctx, rc, shard, job) {
+                return progressed;
             }
+            progressed = true;
         }
         if rc.in_flight || rc.conn.backlogged() {
             return progressed;
         }
-        if let Some(item) = rc.pending.pop_front() {
-            progressed = true;
-            match item {
-                PendingItem::Req { op, fields } => {
-                    dispatch_request(ctx, rc, slot, op, fields, saw_shutdown);
-                }
-                PendingItem::BadReq { bytes } => rc.conn.wbuf.extend_from_slice(&bytes),
-                PendingItem::Poison { bytes } => rc.conn.wbuf.extend_from_slice(&bytes),
-            }
-            continue;
-        }
-        if !extract_one(ctx, rc) {
+        let Some(item) = rc.pending.pop_front() else {
             return progressed;
-        }
+        };
         progressed = true;
+        match item {
+            PendingItem::Routed { shard, request } => {
+                let mut run = vec![request];
+                while run.len() < MAX_RUN {
+                    match rc.pending.pop_front() {
+                        Some(PendingItem::Routed { shard: s, request }) if s == shard => {
+                            run.push(request)
+                        }
+                        Some(other) => {
+                            rc.pending.push_front(other);
+                            break;
+                        }
+                        None => break,
+                    }
+                }
+                let job = ShardJob {
+                    worker: ctx.worker,
+                    slot,
+                    gen: rc.gen,
+                    run,
+                    binary: matches!(rc.conn.mode, WireMode::Binary),
+                };
+                push_run(ctx, rc, shard, job);
+            }
+            PendingItem::Inline { shutdown, request } => {
+                answer_inline(ctx, rc, shutdown, &request.fields, saw_shutdown);
+            }
+            PendingItem::Error { bytes } => rc.conn.wbuf.extend_from_slice(&bytes),
+        }
     }
 }
 
-/// Routes one request: `stats`/`shutdown` are answered inline by the
-/// router (they concern the whole server, not one shard); everything
-/// else is homed to its shard by [`routing_shard`].
-fn dispatch_request(
+/// Hands a run to its shard's queue; a full queue parks it on the
+/// connection instead. `routed` counts requests, so it moves by the
+/// run's length. Returns whether the run went in.
+fn push_run(ctx: &RouterCtx<'_>, rc: &mut RouterConn, shard: usize, job: ShardJob) -> bool {
+    let len = job.run.len() as u64;
+    match ctx.runtime.queues[shard].try_push(job, ctx.worker) {
+        Ok(()) => {
+            ctx.runtime.routed[shard].fetch_add(len, Ordering::Relaxed);
+            rc.in_flight = true;
+            true
+        }
+        Err(job) => {
+            rc.parked = Some((shard, job));
+            false
+        }
+    }
+}
+
+/// Answers `stats` (merged across shards) or `shutdown` on the router:
+/// they concern the whole server, not one shard.
+fn answer_inline(
     ctx: &RouterCtx<'_>,
     rc: &mut RouterConn,
-    slot: usize,
-    op: Option<&'static str>,
-    fields: Vec<(String, Value)>,
+    shutdown: bool,
+    fields: &[(String, Value)],
     saw_shutdown: &mut bool,
 ) {
     let binary = matches!(rc.conn.mode, WireMode::Binary);
-    let op_name = op.unwrap_or_else(|| {
-        match minijson::get(&fields, "op").and_then(Value::as_str) {
-            Some("stats") => "stats",
-            Some("shutdown") => "shutdown",
-            // Routed ops keep their own name via the fields; only the
-            // two inline ops need resolving here.
-            _ => "routed",
-        }
-    });
-    match op_name {
-        "shutdown" => {
-            ctx.global.request_shutdown();
-            let mut j = JsonBuilder::new();
-            begin_envelope(&mut j, &fields);
-            j.raw_field("ok", "true");
-            j.raw_field("bye", "true");
-            let response = j.finish();
-            encode_response(binary, &response, &mut rc.conn.wbuf);
-            // Requests after a shutdown go unanswered, exactly like the
-            // single-engine loop leaves later lines unread.
-            rc.pending.clear();
-            rc.conn.rpos = rc.conn.rbuf.len();
-            *saw_shutdown = true;
-        }
-        "stats" => {
-            let response = merged_stats(ctx.runtime, ctx.global, &fields);
-            encode_response(binary, &response, &mut rc.conn.wbuf);
-        }
-        _ => {
-            let graph = minijson::get(&fields, "graph").and_then(Value::as_str);
-            let file = minijson::get(&fields, "file").and_then(Value::as_str);
-            let shard = routing_shard(graph, file, ctx.runtime.engines.len());
-            let job = ShardJob {
-                worker: ctx.worker,
-                slot,
-                gen: rc.gen,
-                fields,
-                op,
-                binary,
-            };
-            match ctx.runtime.queues[shard].try_push(job, ctx.worker) {
-                Ok(()) => {
-                    ctx.runtime.routed[shard].fetch_add(1, Ordering::Relaxed);
-                    rc.in_flight = true;
-                }
-                Err(job) => rc.parked = Some((shard, job)),
-            }
-        }
+    if !shutdown {
+        let response = merged_stats(ctx.runtime, ctx.global, fields);
+        encode_response(binary, &response, &mut rc.conn.wbuf);
+        return;
     }
+    ctx.global.request_shutdown();
+    let mut j = JsonBuilder::new();
+    begin_envelope(&mut j, fields);
+    j.raw_field("ok", "true");
+    j.raw_field("bye", "true");
+    encode_response(binary, &j.finish(), &mut rc.conn.wbuf);
+    // Requests after a shutdown go unanswered, exactly like the
+    // single-engine loop leaves later lines unread.
+    rc.pending.clear();
+    rc.conn.rpos = rc.conn.rbuf.len();
+    *saw_shutdown = true;
 }
 
 /// Starts a response envelope with the request's echoed `id`, exactly
@@ -1041,35 +1068,39 @@ fn merged_stats(
     j.finish()
 }
 
-/// Extracts one unit of input from the read buffer into `pending`:
-/// one JSONL line, one binary frame (a batch frame queues all its
-/// items at once — they were sent together). Returns `false` when
-/// nothing complete is buffered.
-fn extract_one(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
-    if rc.conn.rpos >= rc.conn.rbuf.len() {
-        if rc.conn.rpos > 0 {
-            rc.conn.rbuf.clear();
-            rc.conn.rpos = 0;
+/// Moves every complete unit of input in the read buffer into
+/// `pending`: each JSONL line, each binary frame (a batch frame queues
+/// all its items at once). Extracting everything up front is what lets
+/// a JSONL pipeline or a window of frames form runs, not only a batch
+/// frame. Returns whether anything was extracted.
+fn extract_all(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
+    let mut extracted = false;
+    while rc.conn.rpos < rc.conn.rbuf.len() {
+        if matches!(rc.conn.mode, WireMode::Undetected) {
+            rc.conn.mode = if rc.conn.rbuf[rc.conn.rpos] == crate::frame::MAGIC {
+                WireMode::Binary
+            } else {
+                WireMode::Jsonl
+            };
         }
-        return false;
-    }
-    if matches!(rc.conn.mode, WireMode::Undetected) {
-        rc.conn.mode = if rc.conn.rbuf[rc.conn.rpos] == crate::frame::MAGIC {
-            WireMode::Binary
+        let handled = if matches!(rc.conn.mode, WireMode::Binary) {
+            extract_frame(ctx, rc)
         } else {
-            WireMode::Jsonl
+            extract_jsonl(ctx, rc)
         };
+        if !handled {
+            break;
+        }
+        extracted = true;
     }
-    let handled = if matches!(rc.conn.mode, WireMode::Binary) {
-        extract_frame(ctx, rc)
-    } else {
-        extract_jsonl(ctx, rc)
-    };
-    if handled && rc.conn.rpos >= READ_CHUNK {
+    if rc.conn.rpos >= rc.conn.rbuf.len() {
+        rc.conn.rbuf.clear();
+        rc.conn.rpos = 0;
+    } else if rc.conn.rpos >= READ_CHUNK {
         rc.conn.rbuf.drain(..rc.conn.rpos);
         rc.conn.rpos = 0;
     }
-    handled
+    extracted
 }
 
 /// Queues one JSONL request (or its parse-error reply), if a complete
@@ -1094,12 +1125,16 @@ fn extract_jsonl(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
         return true;
     }
     match minijson::parse_object(text) {
-        Ok(fields) => rc.pending.push_back(PendingItem::Req { op: None, fields }),
+        Ok(fields) => {
+            let request = Request { op: None, fields };
+            let shards = ctx.runtime.engines.len();
+            rc.pending.push_back(PendingItem::request(request, shards));
+        }
         Err(e) => {
             ctx.global.record_error();
             let mut bytes = Vec::new();
             encode_response(false, &error_response("null", &e.to_string()), &mut bytes);
-            rc.pending.push_back(PendingItem::BadReq { bytes });
+            rc.pending.push_back(PendingItem::Error { bytes });
         }
     }
     true
@@ -1160,15 +1195,18 @@ fn decode_item(
     scratch: &mut minijson::FieldScratch,
 ) -> PendingItem {
     match crate::frame::decode_request_payload(payload, scratch) {
-        Ok(()) => PendingItem::Req {
-            op: Some(opcode.op_name()),
-            fields: scratch.fields().to_vec(),
-        },
+        Ok(()) => PendingItem::request(
+            Request {
+                op: Some(opcode.op_name()),
+                fields: scratch.fields().to_vec(),
+            },
+            ctx.runtime.engines.len(),
+        ),
         Err(e) => {
             ctx.global.record_error();
             let mut bytes = Vec::new();
             crate::frame::encode_reply(&error_response("null", &e.to_string()), &mut bytes);
-            PendingItem::BadReq { bytes }
+            PendingItem::Error { bytes }
         }
     }
 }
@@ -1180,7 +1218,7 @@ fn poison(ctx: &RouterCtx<'_>, rc: &mut RouterConn, message: &str) {
     ctx.global.record_error();
     let mut bytes = Vec::new();
     crate::frame::encode_reply(&error_response("null", message), &mut bytes);
-    rc.pending.push_back(PendingItem::Poison { bytes });
+    rc.pending.push_back(PendingItem::Error { bytes });
     rc.conn.rpos = rc.conn.rbuf.len();
     rc.conn.eof = true;
 }
@@ -1634,6 +1672,237 @@ mod tests {
                 "{}",
                 replies[0]
             );
+            exchange(&mut conn2, "{\"op\":\"shutdown\"}\n", 1);
+        });
+    }
+
+    /// Reads exactly `expect` reply frames, returning their JSON payloads.
+    fn read_frames(stream: &mut UnixStream, expect: usize) -> Vec<String> {
+        use std::io::Read;
+        (0..expect)
+            .map(|_| {
+                let mut header = [0u8; crate::frame::HEADER_LEN];
+                stream.read_exact(&mut header).expect("reply header");
+                assert_eq!(header[2], crate::frame::Opcode::Reply.byte());
+                let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+                let mut payload = vec![0u8; len as usize];
+                stream.read_exact(&mut payload).expect("reply payload");
+                String::from_utf8(payload).expect("utf8 reply")
+            })
+            .collect()
+    }
+
+    /// One batch frame carrying `requests` (JSONL request objects) as its
+    /// items, in order; `None` is a malformed item (an unknown field-key
+    /// tag), which is answered with a typed error in its place.
+    fn batch_frame(requests: &[Option<&str>]) -> Vec<u8> {
+        use crate::frame::{self, Opcode};
+        let mut payload = Vec::new();
+        for request in requests {
+            match request {
+                Some(text) => {
+                    let fields = minijson::parse_object(text).expect("test request");
+                    let op = minijson::get(&fields, "op")
+                        .and_then(Value::as_str)
+                        .unwrap_or("query");
+                    frame::encode_batch_item(op, &fields, &mut payload).expect("encode item");
+                }
+                None => frame::encode_batch_item_from_payload(Opcode::Query, &[0x77], &mut payload),
+            }
+        }
+        let mut out = Vec::new();
+        frame::encode_request_from_payload(Opcode::Batch, &payload, &mut out);
+        out
+    }
+
+    /// Session graph `a` (shard 1 of 2) interleaved with file graph `f`
+    /// (chosen to route to shard 0), a `stats` mid-stream and a
+    /// malformed request (`None`): the runs are
+    /// [1] [2] [3,4] stats [6] bad [8] stats shutdown.
+    fn interleaved(f: &Path) -> Vec<Option<String>> {
+        let f = f.display();
+        [
+            "{\"id\":1,\"op\":\"create_graph\",\"graph\":\"a\",\"edges\":\"0 1, 1 2\"}".to_string(),
+            format!("{{\"id\":2,\"algorithm\":\"approx\",\"file\":\"{f}\"}}"),
+            "{\"id\":3,\"algorithm\":\"approx\",\"graph\":\"a\"}".to_string(),
+            "{\"id\":4,\"op\":\"add_edges\",\"graph\":\"a\",\"edges\":\"2 0\"}".to_string(),
+            "{\"id\":5,\"op\":\"stats\"}".to_string(),
+            format!("{{\"id\":6,\"algorithm\":\"approx\",\"file\":\"{f}\"}}"),
+            String::new(),
+            "{\"id\":8,\"algorithm\":\"charikar\",\"graph\":\"a\"}".to_string(),
+            "{\"id\":9,\"op\":\"stats\"}".to_string(),
+            "{\"id\":10,\"op\":\"shutdown\"}".to_string(),
+        ]
+        .into_iter()
+        .map(|r| (!r.is_empty()).then_some(r))
+        .collect()
+    }
+
+    /// Sends `requests` in one write — as one batch frame, or as JSONL
+    /// lines — to a fresh `shards`-shard server and returns every reply.
+    fn replies_in_one_write(
+        shards: usize,
+        binary: bool,
+        requests: &[Option<String>],
+    ) -> Vec<String> {
+        let sock = sock_path(&format!("runs{shards}{binary}"));
+        let server = spawn_server(
+            sock.clone(),
+            ServeOptions {
+                workers: 2,
+                max_connections: 8,
+                shards,
+                ..ServeOptions::default()
+            },
+        );
+        let mut conn = connect_retry(&sock);
+        let replies = if binary {
+            let items: Vec<Option<&str>> = requests.iter().map(|r| r.as_deref()).collect();
+            conn.write_all(&batch_frame(&items)).expect("send");
+            read_frames(&mut conn, requests.len())
+        } else {
+            let lines: String = requests
+                .iter()
+                .map(|r| format!("{}\n", r.as_deref().unwrap_or("{\"id\":7,\"algorithm\":")))
+                .collect();
+            exchange(&mut conn, &lines, requests.len())
+        };
+        server.join().expect("server panicked");
+        replies
+    }
+
+    #[test]
+    fn runs_keep_request_order_across_shards() {
+        assert_eq!(routing_shard(Some("a"), None, 2), 1);
+        let f = (0..)
+            .map(|i| fixture(&format!("runs_{i}.txt"), "0 1\n0 2\n1 2\n2 3\n"))
+            .find(|p| routing_shard(None, p.to_str(), 2) == 0)
+            .expect("some fixture name routes to shard 0");
+        let requests = interleaved(&f);
+        for binary in [true, false] {
+            let sharded = replies_in_one_write(2, binary, &requests);
+            let single = replies_in_one_write(1, binary, &requests);
+            let ids = ["1", "2", "3", "4", "5", "6", "null", "8", "9", "10"];
+            for (reply, id) in sharded.iter().zip(ids) {
+                assert!(reply.starts_with(&format!("{{\"id\":{id},")), "{reply}");
+            }
+            assert!(sharded[6].contains("\"ok\":false"), "{}", sharded[6]);
+            // Every reply but the two stats (whose schemas differ by the
+            // per-shard breakdown) matches the 1-shard server's.
+            for index in [0, 1, 2, 3, 5, 6, 7, 9] {
+                assert_eq!(
+                    strip_run_dependent(&sharded[index]),
+                    strip_run_dependent(&single[index]),
+                    "reply {index} (binary: {binary})"
+                );
+            }
+            // The mid-stream stats counts exactly the requests before
+            // it: a's create + query + add on shard 1, f's query on 0.
+            let mid = &sharded[4];
+            assert!(mid.contains("\"mutations\":1,"), "{mid}");
+            assert!(mid.contains("\"result_misses\":2,"), "{mid}");
+            assert!(
+                mid.contains("{\"shard\":0,\"routed\":1,\"queries\":1,\"mutations\":0,"),
+                "{mid}"
+            );
+            assert!(
+                mid.contains("{\"shard\":1,\"routed\":3,\"queries\":1,\"mutations\":2,"),
+                "{mid}"
+            );
+            // f's second query replays; the malformed request reached no
+            // shard.
+            let end = &sharded[8];
+            assert!(end.contains("\"result_hits\":1,"), "{end}");
+            assert!(end.contains("\"result_misses\":3,"), "{end}");
+            assert!(
+                end.contains(
+                    "{\"shard\":0,\"routed\":2,\"queries\":2,\"mutations\":0,\"errors\":0,"
+                ),
+                "{end}"
+            );
+            assert!(
+                end.contains(
+                    "{\"shard\":1,\"routed\":4,\"queries\":2,\"mutations\":2,\"errors\":0,"
+                ),
+                "{end}"
+            );
+        }
+    }
+    /// Polls `done` until it holds; panics naming `what` after 5 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..500 {
+            if done() {
+                return;
+            }
+            // Test-only: poll the router's progress.
+            #[allow(clippy::disallowed_methods)]
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn a_run_parked_behind_backpressure_keeps_its_order() {
+        // Queue cap 1 on a held shard: conn1's three-request batch
+        // crosses as one job and fills the queue; conn2's run to the
+        // same shard parks behind it until the shard drains.
+        with_held_router("run_backpressure", 1, |runtime, sock| {
+            assert_eq!(routing_shard(Some("a"), None, 2), 1);
+            assert_eq!(routing_shard(Some("c"), None, 2), 1);
+            runtime.hold(1).hold();
+            let mut conn1 = connect_retry(sock);
+            conn1
+                .write_all(&batch_frame(&[
+                    Some("{\"id\":11,\"op\":\"create_graph\",\"graph\":\"a\",\"edges\":\"0 1\"}"),
+                    Some("{\"id\":12,\"op\":\"add_edges\",\"graph\":\"a\",\"edges\":\"1 2\"}"),
+                    Some("{\"id\":13,\"algorithm\":\"charikar\",\"graph\":\"a\"}"),
+                ]))
+                .expect("send");
+            let routed = || runtime.routed[1].load(Ordering::Relaxed);
+            // The whole batch goes in as one run, though the queue holds
+            // one job and the held shard answers nothing.
+            wait_until("conn1's run to enqueue", || routed() == 3);
+            let mut conn2 = connect_retry(sock);
+            conn2
+                .write_all(
+                    concat!(
+                        "{\"id\":21,\"op\":\"create_graph\",\"graph\":\"c\",\"edges\":\"0 1\"}\n",
+                        "{\"id\":22,\"algorithm\":\"charikar\",\"graph\":\"c\"}\n",
+                    )
+                    .as_bytes(),
+                )
+                .expect("send");
+            // conn2's push bounced off the full queue: its run parked.
+            wait_until("conn2's run to park", || {
+                let state = runtime.queues[1].backlog.lock().expect("queue");
+                !state.stalled.is_empty()
+            });
+            assert_eq!(routed(), 3);
+            runtime.hold(1).release();
+            let replies1 = read_frames(&mut conn1, 3);
+            for (reply, prefix) in replies1.iter().zip([
+                "{\"id\":11,\"ok\":true",
+                "{\"id\":12,\"ok\":true",
+                "{\"id\":13,\"ok\":true",
+            ]) {
+                assert!(reply.starts_with(prefix), "{reply}");
+            }
+            assert!(replies1[0].contains("\"version\":1"), "{}", replies1[0]);
+            assert!(replies1[1].contains("\"version\":2"), "{}", replies1[1]);
+            // The query ran after the mutation it was batched behind.
+            assert!(replies1[2].contains("\"graph_nodes\":3"), "{}", replies1[2]);
+            let replies2 = read_lines(&mut conn2, 2);
+            assert!(
+                replies2[0].starts_with("{\"id\":21,\"ok\":true"),
+                "{}",
+                replies2[0]
+            );
+            assert!(
+                replies2[1].starts_with("{\"id\":22,\"ok\":true"),
+                "{}",
+                replies2[1]
+            );
+            assert_eq!(routed(), 5);
             exchange(&mut conn2, "{\"op\":\"shutdown\"}\n", 1);
         });
     }

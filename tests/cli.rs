@@ -11,7 +11,16 @@ fn write_fixture(name: &str, content: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dsg_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
-    std::fs::write(&path, content).unwrap();
+    // Tests run in parallel and rewrite the same fixtures: write a
+    // private copy and rename it into place, so a concurrent reader
+    // never sees a truncated file.
+    let tmp = dir.join(format!(
+        "{name}.{}.{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&tmp, content).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path
 }
 
