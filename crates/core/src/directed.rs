@@ -164,8 +164,9 @@ pub fn sweep_c_refined_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64)
 /// CSR version of [`sweep_c`].
 pub fn sweep_c_csr(g: &dsg_graph::CsrDirected, delta: f64, epsilon: f64) -> SweepResult {
     sweep_grid(g.num_nodes(), delta, |c| {
-        approx_densest_directed_csr(g, c, epsilon)
+        (approx_densest_directed_csr(g, c, epsilon), ())
     })
+    .0
 }
 
 /// Multi-threaded CSR sweep: every per-`c` run uses the parallel backend.
@@ -177,8 +178,12 @@ pub fn sweep_c_csr_parallel(
     threads: usize,
 ) -> SweepResult {
     sweep_grid(g.num_nodes(), delta, |c| {
-        approx_densest_directed_csr_parallel(g, c, epsilon, threads)
+        (
+            approx_densest_directed_csr_parallel(g, c, epsilon, threads),
+            (),
+        )
     })
+    .0
 }
 
 /// [`sweep_c_csr`] with a per-ratio
@@ -190,15 +195,12 @@ pub fn sweep_c_csr_traced(
     delta: f64,
     epsilon: f64,
 ) -> (SweepResult, Vec<(f64, crate::kernel::PeelTrace)>) {
-    let mut traces = Vec::new();
-    let sweep = sweep_grid(g.num_nodes(), delta, |c| {
+    sweep_grid(g.num_nodes(), delta, |c| {
         let mut store = CsrDirectedStore::new(g);
         let mut policy = DirectedSizesPolicy::new(c, epsilon);
         let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-        traces.push((c, trace));
-        DirectedRun::from_kernel(run, c)
-    });
-    (sweep, traces)
+        (DirectedRun::from_kernel(run, c), trace)
+    })
 }
 
 /// [`sweep_c_csr_parallel`] with a per-ratio
@@ -209,15 +211,12 @@ pub fn sweep_c_csr_parallel_traced(
     epsilon: f64,
     threads: usize,
 ) -> (SweepResult, Vec<(f64, crate::kernel::PeelTrace)>) {
-    let mut traces = Vec::new();
-    let sweep = sweep_grid(g.num_nodes(), delta, |c| {
+    sweep_grid(g.num_nodes(), delta, |c| {
         let mut store = ParallelCsrDirectedStore::new(g, threads);
         let mut policy = DirectedSizesPolicy::new(c, epsilon);
         let (run, trace) = crate::kernel::peel_traced(&mut store, &mut policy, &Default::default());
-        traces.push((c, trace));
-        DirectedRun::from_kernel(run, c)
-    });
-    (sweep, traces)
+        (DirectedRun::from_kernel(run, c), trace)
+    })
 }
 
 /// The outcome of a sweep over `c`.
@@ -231,33 +230,70 @@ pub struct SweepResult {
 }
 
 /// Shared δ-grid driver: tries `c = δ^i` for `i ∈ [-levels, levels]`
-/// covering `[1/n, n]` and keeps the densest run.
-fn sweep_grid(
+/// covering `[1/n, n]` and keeps the densest run. `run_at` runs
+/// [`DirectedSizesPolicy`] at one ratio and returns the run plus a
+/// capture of it (its [`PeelTrace`](crate::kernel::PeelTrace) for the
+/// traced sweeps, `()` otherwise); the captures come back as `(c, _)`
+/// pairs in grid order.
+///
+/// **Run reuse.** A peel depends on `c` only through the side test
+/// [`DirectedSizesPolicy::removes_from_s`] at the start of each pass;
+/// the stores, the thresholds and the stop rule never read `c`. So if
+/// every pass `(s_size, t_size, removed_from_s)` of the previous grid
+/// point's run takes the same side at the next `c`, the peel at that `c`
+/// starts each pass from the same state and removes the same nodes: it
+/// *is* that run. The driver then clones the run (setting its `c`) and
+/// its capture instead of calling `run_at`, so `per_c`, `best` and the
+/// captures are exactly what independent runs give. A reused run ties
+/// the previous density, so it never replaces `best`.
+fn sweep_grid<X: Clone>(
     num_nodes: usize,
     delta: f64,
-    mut run_at: impl FnMut(f64) -> DirectedRun,
-) -> SweepResult {
+    mut run_at: impl FnMut(f64) -> (DirectedRun, X),
+) -> (SweepResult, Vec<(f64, X)>) {
     assert!(delta > 1.0, "resolution delta must exceed 1");
     let n = num_nodes.max(2) as f64;
     let levels = (n.ln() / delta.ln()).ceil() as i32;
+    let points = (2 * levels + 1) as usize;
     let mut best: Option<DirectedRun> = None;
-    let mut per_c = Vec::with_capacity((2 * levels + 1) as usize);
+    let mut per_c = Vec::with_capacity(points);
+    let mut captures: Vec<(f64, X)> = Vec::with_capacity(points);
+    let mut prev: Option<DirectedRun> = None;
     for i in -levels..=levels {
         let c = delta.powi(i);
-        let run = run_at(c);
-        per_c.push((c, run.best_density, run.passes));
-        let replace = match &best {
-            None => true,
-            Some(b) => run.best_density > b.best_density,
+        let (run, capture) = match prev.take() {
+            Some(mut run) if takes_same_sides(&run, c) => {
+                run.c = c;
+                let (_, capture) = captures.last().expect("a previous run exists");
+                (run, capture.clone())
+            }
+            _ => run_at(c),
         };
-        if replace {
-            best = Some(run);
+        per_c.push((c, run.best_density, run.passes));
+        captures.push((c, capture));
+        if best
+            .as_ref()
+            .is_none_or(|b| run.best_density > b.best_density)
+        {
+            best = Some(run.clone());
         }
+        prev = Some(run);
     }
-    SweepResult {
+    let sweep = SweepResult {
         best: best.expect("at least one ratio is always tried"),
         per_c,
-    }
+    };
+    (sweep, captures)
+}
+
+/// `true` when every recorded pass of `run` takes the same side at ratio
+/// `c` — the reuse condition of [`sweep_grid`].
+fn takes_same_sides(run: &DirectedRun, c: f64) -> bool {
+    run.trace.len() == run.passes as usize
+        && run
+            .trace
+            .iter()
+            .all(|p| DirectedSizesPolicy::removes_from_s(c, p.s_size, p.t_size) == p.removed_from_s)
 }
 
 /// Sweeps `c` over powers of `delta` covering `[1/n, n]` and returns the
@@ -266,8 +302,9 @@ fn sweep_grid(
 pub fn sweep_c<S: EdgeStream + ?Sized>(stream: &mut S, delta: f64, epsilon: f64) -> SweepResult {
     let num_nodes = stream.num_nodes() as usize;
     sweep_grid(num_nodes, delta, |c| {
-        approx_densest_directed(stream, c, epsilon)
+        (approx_densest_directed(stream, c, epsilon), ())
     })
+    .0
 }
 
 #[cfg(test)]
@@ -552,6 +589,86 @@ mod tests {
             "sizes {} vs naive {}",
             sizes.best_density,
             naive.best_density
+        );
+    }
+
+    /// The three graphs of the reuse tests: the livejournal and twitter
+    /// tiny stand-ins and a planted pair.
+    fn reuse_graphs() -> Vec<EdgeList> {
+        use dsg_datasets::{livejournal_standin, twitter_standin, Scale};
+        vec![
+            livejournal_standin(Scale::Tiny),
+            twitter_standin(Scale::Tiny),
+            gen::directed_planted(300, 0.004, 30, 10, 0.9, 11).0,
+        ]
+    }
+
+    #[test]
+    fn sweep_reuse_is_exact() {
+        use crate::kernel::peel_traced;
+        use dsg_graph::CsrDirected;
+        let eps = 0.5;
+        for list in reuse_graphs() {
+            let csr = CsrDirected::from_edge_list(&list);
+            for delta in [1.5, 2.0, 3.0] {
+                let (traced, traces) = sweep_c_csr_traced(&csr, delta, eps);
+                let (par_traced, par_traces) = sweep_c_csr_parallel_traced(&csr, delta, eps, 2);
+                let sweeps = [
+                    sweep_c(&mut MemoryStream::new(list.clone()), delta, eps),
+                    sweep_c_csr(&csr, delta, eps),
+                    sweep_c_csr_parallel(&csr, delta, eps, 2),
+                    traced,
+                    par_traced,
+                ];
+                // Independent runs at every grid point, and the first
+                // strictly densest of them.
+                let fresh: Vec<DirectedRun> = traces
+                    .iter()
+                    .map(|&(c, _)| approx_densest_directed_csr(&csr, c, eps))
+                    .collect();
+                let best = fresh.iter().fold(&fresh[0], |b, r| {
+                    if r.best_density > b.best_density {
+                        r
+                    } else {
+                        b
+                    }
+                });
+                for sweep in &sweeps {
+                    assert_eq!(sweep.per_c.len(), fresh.len());
+                    for (&(c, density, passes), r) in sweep.per_c.iter().zip(&fresh) {
+                        assert_eq!(c.to_bits(), r.c.to_bits());
+                        assert_eq!(density.to_bits(), r.best_density.to_bits(), "c {c}");
+                        assert_eq!(passes, r.passes, "c {c}");
+                    }
+                    assert_eq!(sweep.best.c.to_bits(), best.c.to_bits());
+                    assert_eq!(sweep.best.best_s, best.best_s);
+                    assert_eq!(sweep.best.best_t, best.best_t);
+                    assert_eq!(sweep.best.trace, best.trace);
+                }
+                for (c, trace) in traces.iter().chain(&par_traces) {
+                    let mut store = CsrDirectedStore::new(&csr);
+                    let mut policy = DirectedSizesPolicy::new(*c, eps);
+                    let (_, expect) = peel_traced(&mut store, &mut policy, &Default::default());
+                    assert_eq!(trace, &expect, "delta {delta} c {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_reuse_fires() {
+        use dsg_graph::CsrDirected;
+        let list = &reuse_graphs()[0];
+        let csr = CsrDirected::from_edge_list(list);
+        let mut runs = 0usize;
+        let (sweep, _) = sweep_grid(csr.num_nodes(), 2.0, |c| {
+            runs += 1;
+            (approx_densest_directed_csr(&csr, c, 0.5), ())
+        });
+        assert!(
+            runs < sweep.per_c.len(),
+            "{runs} kernel runs for {} grid points",
+            sweep.per_c.len()
         );
     }
 

@@ -31,6 +31,13 @@ impl DegreeStore for CsrUndirectedStore<'_> {
         for u in 0..n as u32 {
             side.deg[u as usize] = self.g.weighted_degree(u);
         }
+        if !self.g.is_weighted() && !self.g.has_self_loops() {
+            // Degrees are the offset differences and every edge counts
+            // once: the adjacency scan below would reproduce exactly
+            // these integer values.
+            state.total_weight = self.g.num_edges() as f64;
+            return state;
+        }
         // Self-loops are excluded from the induced-degree semantics of
         // the streaming variant; subtract them up front.
         let mut total_w = 0.0f64;

@@ -128,12 +128,19 @@ impl RemovalPolicy for KFloorPolicy {
         let target =
             ((self.epsilon / (1.0 + self.epsilon)) * side.alive.len() as f64).ceil() as usize;
         let target = target.clamp(1, self.candidates.len().max(1));
-        self.candidates.sort_by(|a, b| {
+        let removed = target.min(self.candidates.len());
+        // Ids make every `(degree, id)` key unique, so selecting the
+        // `removed` smallest and sorting only them gives `buf` the order
+        // of a full sort and leaves the smallest survivor at `removed`.
+        let by_key = |a: &(f64, u32), b: &(f64, u32)| {
             a.0.partial_cmp(&b.0)
                 .expect("degrees are never NaN")
                 .then(a.1.cmp(&b.1))
-        });
-        let removed = target.min(self.candidates.len());
+        };
+        if removed < self.candidates.len() {
+            self.candidates.select_nth_unstable_by(removed, by_key);
+        }
+        self.candidates[..removed].sort_unstable_by(by_key);
         buf.extend(self.candidates[..removed].iter().map(|&(_, u)| u));
         Selection {
             side: 0,
@@ -192,6 +199,15 @@ impl DirectedSizesPolicy {
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         DirectedSizesPolicy { c, epsilon }
     }
+
+    /// The side rule at ratio `c`: `true` when a pass that starts at
+    /// sizes `(|S|, |T|)` removes from `S` (`|S|/|T| ≥ c`). A run depends
+    /// on `c` only through this test, which is what lets the δ-grid
+    /// sweep reuse a run across ratios (`crate::directed`).
+    #[inline]
+    pub fn removes_from_s(c: f64, s_len: usize, t_len: usize) -> bool {
+        s_len as f64 / t_len as f64 >= c
+    }
 }
 
 impl RemovalPolicy for DirectedSizesPolicy {
@@ -207,7 +223,7 @@ impl RemovalPolicy for DirectedSizesPolicy {
     ) -> Selection {
         let (s_len, t_len) = (state.sides[0].alive.len(), state.sides[1].alive.len());
         let rho = density::directed(state.total_weight, s_len, t_len);
-        let from_s = s_len as f64 / t_len as f64 >= self.c;
+        let from_s = Self::removes_from_s(self.c, s_len, t_len);
         let side = usize::from(!from_s);
         let side_len = if from_s { s_len } else { t_len };
         let threshold = density::directed_threshold(state.total_weight, side_len, self.epsilon);
@@ -310,5 +326,69 @@ impl RemovalPolicy for DirectedNaivePolicy {
                 successor: None,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::CsrUndirectedStore;
+    use dsg_graph::{CsrUndirected, EdgeList, SplitMix64};
+
+    #[test]
+    fn k_floor_selection_matches_full_sort() {
+        // Degrees from {0, 1, 2, 3} make ties the rule; the live edge
+        // weight moves the threshold so that the clamp target lands both
+        // below and at or above the candidate count.
+        let by_key =
+            |a: &(f64, u32), b: &(f64, u32)| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1));
+        let (mut clamped, mut whole) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n = 1 + rng.range_u32(80) as usize;
+            let eps = [0.1, 0.5, 1.0, 3.0][rng.range_u32(4) as usize];
+            let empty = CsrUndirected::from_edge_list(&EdgeList::new_undirected(n as u32));
+            let mut store = CsrUndirectedStore::new(&empty);
+            let mut state = KernelState::full(n, 1);
+            for u in 0..n as u32 {
+                state.sides[0].deg[u as usize] = rng.range_u32(4) as f64;
+                if n > 1 && rng.bernoulli(0.2) {
+                    state.sides[0].alive.remove(u);
+                }
+            }
+            let alive = state.sides[0].alive.len();
+            state.total_weight = rng.next_f64() * 1.5 * alive as f64;
+
+            let mut policy = KFloorPolicy::new(1, eps);
+            let mut buf = Vec::new();
+            let sel = policy.select(&mut store, &state, &mut buf);
+
+            let side = &state.sides[0];
+            let mut reference: Vec<(f64, u32)> = side
+                .alive
+                .iter()
+                .map(|u| (side.deg[u as usize], u))
+                .filter(|&(d, _)| d <= sel.threshold)
+                .collect();
+            reference.sort_by(by_key);
+            let target = ((eps / (1.0 + eps)) * alive as f64).ceil() as usize;
+            let removed = target.clamp(1, reference.len().max(1)).min(reference.len());
+            if target >= reference.len() {
+                whole += 1;
+            } else {
+                clamped += 1;
+            }
+            let expected: Vec<u32> = reference[..removed].iter().map(|&(_, u)| u).collect();
+            assert_eq!(buf, expected, "seed {seed}");
+            assert_eq!(
+                sel.successor,
+                reference.get(removed).copied(),
+                "seed {seed}"
+            );
+        }
+        assert!(
+            clamped > 50 && whole > 50,
+            "clamped {clamped}, whole {whole}"
+        );
     }
 }

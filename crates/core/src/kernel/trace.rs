@@ -58,7 +58,7 @@ pub struct TracePass {
 }
 
 /// The full trace of one peeling run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PeelTrace {
     /// Node-id capacity of the traced run.
     pub n: u32,

@@ -230,13 +230,21 @@ mod tests {
     #[test]
     fn csr_matches_stream_exactly() {
         use dsg_graph::CsrUndirected;
-        for seed in 0..4 {
-            let list = gen::gnp(150, 0.06, seed);
+        // Random graphs, plus tie-heavy ones where the k-floor clamp cuts
+        // through long runs of equal degrees and only ids order the
+        // candidates: a regular graph and a complete bipartite graph.
+        let graphs = (0..4)
+            .map(|seed| (format!("gnp seed {seed}"), gen::gnp(150, 0.06, seed)))
+            .chain([
+                ("circulant".to_string(), gen::circulant(150, 6)),
+                ("K(30,120)".to_string(), gen::complete_bipartite(30, 120)),
+            ]);
+        for (name, list) in graphs {
             let csr = CsrUndirected::from_edge_list(&list);
             for (k, eps) in [(1usize, 0.5), (20, 0.3), (80, 1.5)] {
                 let a = run(&list, k, eps);
                 let b = approx_densest_at_least_k_csr(&csr, k, eps);
-                assert_eq!(a.passes, b.passes, "seed {seed} k {k} eps {eps}");
+                assert_eq!(a.passes, b.passes, "{name} k {k} eps {eps}");
                 assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
                 assert!((a.best_density - b.best_density).abs() < 1e-9);
                 for (x, y) in a.trace.iter().zip(&b.trace) {

@@ -339,6 +339,18 @@ mod tests {
         assert_eq!(a.best_set.to_vec(), b.best_set.to_vec());
         // The self-loop contributes nothing to ρ(V) = 1/3.
         assert!((a.trace[0].density - 1.0 / 3.0).abs() < 1e-12);
+        // The CSR store starts from an adjacency scan when a self-loop is
+        // present and from the offsets alone when not; both must
+        // reproduce the streamed run exactly.
+        for (list, stream_run, looped) in [(&with_loop, &a, true), (&without_loop, &b, false)] {
+            let g = CsrUndirected::from_edge_list(list);
+            assert_eq!(g.has_self_loops(), looped);
+            let c = approx_densest_csr(&g, 0.5);
+            assert_eq!(c.passes, stream_run.passes);
+            assert_eq!(c.best_density.to_bits(), stream_run.best_density.to_bits());
+            assert_eq!(c.best_set.to_vec(), stream_run.best_set.to_vec());
+            assert_eq!(c.trace, stream_run.trace);
+        }
     }
 
     #[test]

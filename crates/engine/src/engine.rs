@@ -962,6 +962,13 @@ impl Engine {
     /// [`PeelTrace`](dsg_core::kernel::PeelTrace) per run — the seed
     /// state of the incremental tier — at a small bookkeeping cost;
     /// the run itself is bit-identical either way.
+    ///
+    /// Every in-memory serial peel (Algorithms 1–3 on
+    /// `Backend::InMemorySerial`) runs on a decremental store over the
+    /// entry's cached CSR snapshot, never by re-streaming the edge list:
+    /// same runs as the streamed backends, one edge scan in total
+    /// instead of one per pass. Only the sketched backend streams a
+    /// copy of the list, since its degree oracle consumes a stream.
     fn run_on_entry(
         &self,
         entry: &CatalogEntry,
@@ -1072,14 +1079,13 @@ impl Engine {
                 exec.shuffle = Some(shuffle_stats(&result));
                 Ok(Outcome::MapReduce(result))
             }
-            (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) => {
-                let mut stream = MemoryStream::new(list.clone());
-                Ok(Outcome::Run(dsg_core::large::approx_densest_at_least_k(
-                    &mut stream,
+            (Algorithm::AtLeastK { k, epsilon }, Backend::InMemorySerial) => Ok(Outcome::Run(
+                dsg_core::large::approx_densest_at_least_k_csr(
+                    &entry.csr_undirected(),
                     k,
                     epsilon.max(1e-6),
-                )))
-            }
+                ),
+            )),
             (Algorithm::AtLeastK { k, epsilon }, Backend::ParallelCsr { threads }) => Ok(
                 Outcome::Run(dsg_core::large::approx_densest_at_least_k_csr_parallel(
                     &entry.csr_undirected(),

@@ -20,6 +20,7 @@ pub struct CsrUndirected {
     weights: Option<Vec<f64>>,
     num_edges: usize,
     total_weight: f64,
+    has_self_loops: bool,
 }
 
 impl CsrUndirected {
@@ -52,9 +53,11 @@ impl CsrUndirected {
             Vec::new()
         };
         let mut total_weight = 0.0;
+        let mut has_self_loops = false;
         for (i, &(u, v)) in list.edges.iter().enumerate() {
             let w = list.weight(i);
             total_weight += w;
+            has_self_loops |= u == v;
             let cu = cursor[u as usize];
             neighbors[cu] = v;
             cursor[u as usize] += 1;
@@ -72,6 +75,7 @@ impl CsrUndirected {
             weights: if weighted { Some(weights) } else { None },
             num_edges: list.edges.len(),
             total_weight,
+            has_self_loops,
         }
     }
 
@@ -97,6 +101,13 @@ impl CsrUndirected {
     #[inline]
     pub fn is_weighted(&self) -> bool {
         self.weights.is_some()
+    }
+
+    /// `true` if some edge `(u, u)` is a self-loop (it appears twice in
+    /// `neighbors(u)`).
+    #[inline]
+    pub fn has_self_loops(&self) -> bool {
+        self.has_self_loops
     }
 
     /// Neighbor slice of `u`.
@@ -360,6 +371,12 @@ mod tests {
         assert_eq!(n0, vec![1, 2, 3]);
         assert_eq!(g.total_weight(), 4.0);
         assert!((g.density() - 1.0).abs() < 1e-12);
+        assert!(!g.has_self_loops());
+        let mut looped = triangle_plus_pendant();
+        looped.push(3, 3);
+        let g = CsrUndirected::from_edge_list(&looped);
+        assert!(g.has_self_loops());
+        assert_eq!(g.neighbors(3), &[0, 3, 3]);
     }
 
     #[test]

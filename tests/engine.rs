@@ -15,7 +15,7 @@ use densest_subgraph::engine::{
 use densest_subgraph::flow::{exact_densest_with, FlowBackend};
 use densest_subgraph::graph::io::{read_text, write_text};
 use densest_subgraph::graph::stream::{MemoryStream, TextFileStream};
-use densest_subgraph::graph::{gen, CsrDirected, CsrUndirected, EdgeList, GraphKind};
+use densest_subgraph::graph::{gen, CsrDirected, CsrUndirected, EdgeList, GraphKind, SplitMix64};
 use densest_subgraph::mapreduce::{mr_densest_undirected, MapReduceConfig, ShuffleBackend};
 use densest_subgraph::sketch::{approx_densest_sketched, SketchParams};
 
@@ -219,11 +219,10 @@ fn atleast_k_parity_across_backends() {
     let query = Query::new(Algorithm::AtLeastK { k, epsilon: EPS });
     let eps_used = EPS.max(1e-6);
 
-    // Serial goes through MemoryStream, exactly like the direct call.
-    let mut mem = MemoryStream::new(canonical.clone());
-    let direct = dsg_core::large::approx_densest_at_least_k(&mut mem, k, eps_used);
-    let report = run_engine(&engine, &source, query, ResourcePolicy::default(), "memory");
-    assert_run_parity(&report, &direct, "serial");
+    // Serial runs the decremental CSR store, exactly like the direct call.
+    let direct = dsg_core::large::approx_densest_at_least_k_csr(&csr, k, eps_used);
+    let serial = run_engine(&engine, &source, query, ResourcePolicy::default(), "memory");
+    assert_run_parity(&serial, &direct, "serial");
 
     let direct_par = dsg_core::large::approx_densest_at_least_k_csr_parallel(&csr, k, eps_used, 4);
     let report = run_engine(
@@ -238,9 +237,12 @@ fn atleast_k_parity_across_backends() {
     );
     assert_run_parity(&report, &direct_par, "parallel");
 
+    // The streamed backend re-reads the file every pass; on this
+    // unweighted graph it matches the serial run bit for bit.
     let mut stream = TextFileStream::open_auto(&path).unwrap();
     let direct_stream =
         dsg_core::large::try_approx_densest_at_least_k(&mut stream, k, eps_used).unwrap();
+    assert_run_parity(&serial, &direct_stream, "serial vs stream");
     let report = run_engine(
         &engine,
         &source,
@@ -252,6 +254,57 @@ fn atleast_k_parity_across_backends() {
         "stream",
     );
     assert_run_parity(&report, &direct_stream, "stream");
+
+    // A weighted fixture with non-integer weights: the decremental store
+    // subtracts edge weights while the streamed backend re-sums them each
+    // pass, so the two densities may differ in their last bits, never in
+    // set or passes.
+    let mut weighted = EdgeList::new_undirected(list.num_nodes);
+    let mut rng = SplitMix64::new(7);
+    for &(u, v) in &list.edges {
+        weighted.push_weighted(u, v, 0.1 + 3.0 * rng.next_f64());
+    }
+    let path = write_fixture("atleastk_weighted.txt", &weighted);
+    let csr = CsrUndirected::from_edge_list(&load_canonical(&path, GraphKind::Undirected));
+    assert!(csr.is_weighted());
+    let source = file_source(&path);
+    for (k, eps) in [(10, 0.3), (k, EPS), (120, 1.0)] {
+        let query = Query::new(Algorithm::AtLeastK { k, epsilon: eps });
+        let label = format!("weighted k {k} eps {eps}");
+        let direct = dsg_core::large::approx_densest_at_least_k_csr(&csr, k, eps);
+        let serial = run_engine(&engine, &source, query, ResourcePolicy::default(), "memory");
+        assert_run_parity(&serial, &direct, &label);
+
+        let mut stream = TextFileStream::open_auto(&path).unwrap();
+        let direct_stream =
+            dsg_core::large::try_approx_densest_at_least_k(&mut stream, k, eps).unwrap();
+        let report = run_engine(
+            &engine,
+            &source,
+            Query {
+                backend: Some(BackendRequest::Streamed),
+                ..query
+            },
+            ResourcePolicy::default(),
+            "stream",
+        );
+        assert_run_parity(&report, &direct_stream, &label);
+        assert_eq!(
+            serial.best_set(),
+            Some(&direct_stream.best_set),
+            "{label}: set"
+        );
+        assert_eq!(
+            serial.passes(),
+            Some(direct_stream.passes),
+            "{label}: passes"
+        );
+        let (a, b) = (serial.density(), direct_stream.best_density);
+        assert!(
+            (a - b).abs() <= 1e-12 * b.abs(),
+            "{label}: density {a} vs {b}"
+        );
+    }
 }
 
 #[test]
