@@ -399,49 +399,26 @@ impl Engine {
     /// result cache replays the stored report (byte-identical minus
     /// `elapsed_ms`), still re-stamping the file so an edit is never
     /// served stale.
+    ///
+    /// This is [`execute_serve`](Self::execute_serve) with a replay's
+    /// shared report cloned and patched to describe this request: both
+    /// caches hit and a fresh `elapsed_ms`.
     pub fn execute(
         &self,
         source: &Source,
         query: &Query,
         policy: &ResourcePolicy,
     ) -> Result<Report> {
-        let started = Instant::now();
-        let (query, promoted) = self.spill_query(source, query)?;
-        let query = &query;
-        let kind = source.kind_for(&query.algorithm);
-        // Replay fast path: when the file's graph is already resident
-        // and fresh and the result cache holds this exact
-        // (fingerprint, query, policy) result, skip planning entirely.
-        // Sound because the planner is deterministic in (query, meta,
-        // policy) and both meta and the cache key derive from the same
-        // stamped file — a hit proves the cached run's plan is the plan
-        // this request would get. This keeps the steady-state serve
-        // path free of the planner's per-request reason-string
-        // allocations and the second metadata stat.
-        let mut replay_checked = false;
-        if let Source::File { path, binary, .. } = source {
-            if let Some(entry) = self.catalog.peek(path, *binary, kind) {
-                let key = CacheKey::new(GraphId::file(entry.fingerprint), kind, query, policy);
-                if let Some(mut replay) = self.results.lookup(&key, &source.label()) {
-                    self.catalog.record_hit();
-                    replay.cache_hit = Some(true);
-                    replay.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                    return Ok(replay);
-                }
-                // A definitive miss: the slow path below must not
-                // consult (and count) the result cache a second time.
-                replay_checked = true;
+        match self.execute_serve(source, query, policy)? {
+            ServeReport::Shared { report, elapsed_ms } => {
+                let mut replay = (*report).clone();
+                replay.cache_hit = Some(true);
+                replay.result_cache_hit = Some(true);
+                replay.elapsed_ms = elapsed_ms;
+                Ok(replay)
             }
+            ServeReport::Owned(report) => Ok(*report),
         }
-        self.execute_slow(
-            source,
-            query,
-            policy,
-            started,
-            kind,
-            replay_checked,
-            promoted,
-        )
     }
 
     /// Serve-loop variant of [`execute`](Self::execute): on the replay
@@ -452,8 +429,18 @@ impl Engine {
     /// `cache_hit`/`result_cache_hit`/`elapsed_ms` fields describe the
     /// *cold* run; this request's values (both hits true, fresh
     /// elapsed) ride alongside in [`ServeReport::Shared`], and the
-    /// reply envelope is assembled from those. Everything off the fast
-    /// path behaves exactly like `execute`.
+    /// reply envelope is assembled from those. Off the fast path the
+    /// owned report is exactly what `execute` returns.
+    ///
+    /// The replay fast path: when the file's graph is already resident
+    /// and fresh and the result cache holds this exact (fingerprint,
+    /// query, policy) result, planning is skipped entirely. Sound
+    /// because the planner is deterministic in (query, meta, policy) and
+    /// both meta and the cache key derive from the same stamped file — a
+    /// hit proves the cached run's plan is the plan this request would
+    /// get. This keeps the steady-state path free of the planner's
+    /// per-request reason-string allocations and the second metadata
+    /// stat.
     pub fn execute_serve(
         &self,
         source: &Source,

@@ -27,12 +27,13 @@
 //!   byte-identically (minus `elapsed_ms`) without recomputing.
 //! * [`serve`] — a long-running JSONL request/response loop over
 //!   stdin/stdout or a Unix socket. Socket mode runs an accept thread
-//!   plus a bounded worker pool so many clients are served
-//!   concurrently against one shared engine.
-//! * [`shard`] — the sharded serve mode (`ServeOptions::shards > 1`):
-//!   N independent engines behind one socket, each request hash-routed
-//!   by graph identity over bounded per-shard queues so shards never
-//!   touch each other's locks.
+//!   plus a bounded pool of event loops so many clients are served
+//!   concurrently; with one shard the loops answer every request
+//!   against one shared engine.
+//! * [`shard`] — the engines behind the event loops. With
+//!   `ServeOptions::shards > 1`, N independent engines, each request
+//!   hash-routed by graph identity over bounded per-shard queues so
+//!   shards never touch each other's locks.
 //! * **Mutable sessions** — named in-memory graphs created and mutated
 //!   through the catalog ([`NamedGraph`], `create_graph` / `add_edges`
 //!   / `remove_edges` / `compact` ops): every mutation publishes a
@@ -76,7 +77,6 @@ pub mod readiness;
 pub mod report;
 pub mod result_cache;
 pub mod serve;
-#[cfg(unix)]
 pub mod shard;
 
 pub use catalog::{
@@ -100,5 +100,4 @@ pub use serve::{
     percentile, serve_loop, serve_stdio, ClientOptions, ClientStats, ServeMetrics, ServeOptions,
     ServeSummary,
 };
-#[cfg(unix)]
 pub use shard::routing_shard;

@@ -56,8 +56,10 @@
 //! (default 1; 0 disables explicit fsync). A `kill -9` keeps the page
 //! cache, so crash-recovery holds at any setting; the fsync cadence is
 //! the power-loss durability bound. fsync happens on catalog mutation
-//! paths only — executor/worker threads — never on the router event
-//! loop, which dsg-lint's hot-path rule enforces structurally.
+//! paths only: a shard's executor threads, or with one shard the event
+//! loop that answers the mutation (it answers every request there,
+//! kernel runs included). The serve I/O code itself never calls it,
+//! which dsg-lint's hot-path rule enforces structurally.
 //!
 //! ## Crash-injection hook
 //!

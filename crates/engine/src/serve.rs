@@ -12,24 +12,31 @@
 //!
 //! ## Concurrency
 //!
-//! Socket mode runs an **accept thread plus `workers` event loops**
-//! ([`ServeOptions`]): each accepted connection is assigned round-robin
-//! to a worker, and every worker multiplexes its connection set with
-//! readiness-based nonblocking I/O (`poll(2)` via [`crate::readiness`],
-//! infinite timeout). Idle connections cost **zero wakeups** — nobody
-//! spins on read-timeout ticks — and cross-thread signals (a new
-//! connection handed over, the shutdown latch) arrive through a
+//! Socket mode runs one server for every shard count: an **accept
+//! thread plus `workers` event loops** ([`ServeOptions`]). Each accepted
+//! connection is assigned round-robin to an event loop, and every loop
+//! multiplexes its connection set with readiness-based nonblocking I/O
+//! (`poll(2)` via [`crate::readiness`], infinite timeout). Idle
+//! connections cost **zero wakeups** — nobody spins on read-timeout
+//! ticks — and cross-thread signals (a new connection handed over, a
+//! shard's completed run, the shutdown latch) arrive through a
 //! self-pipe waker, so graceful shutdown completes as soon as in-flight
 //! requests drain instead of waiting out a timeout tick per parked
 //! connection. `max_connections` bounds the *live* connections across
-//! all workers; at the cap the accept thread parks until one closes,
+//! all loops; at the cap the accept thread parks until one closes,
 //! which is the backpressure (clients queue in the socket backlog
-//! instead of overwhelming the server). All workers share one
-//! [`Engine`] (`&Engine` — the engine is internally synchronized). A
-//! `shutdown` op latches the shutdown flag, wakes every event loop, and
-//! removes the socket file. The socket file is removed by an RAII
-//! guard, so it disappears even when the serve loop exits through an
-//! error path or a panic.
+//! instead of overwhelming the server).
+//!
+//! A loop's service turn reads a connection's bytes, decodes every
+//! complete request into the loop's reusable parse scratch, and then
+//! takes the one decision the shard count makes (see [`crate::shard`]):
+//! with one shard the request is answered **now**, on the loop thread,
+//! with the [`Engine`] the server was handed (`&Engine` — the engine is
+//! internally synchronized); with more it is **queued** as part of a
+//! same-shard run for that shard's executors. A `shutdown` op latches
+//! the shutdown flag, wakes every thread, and removes the socket file.
+//! The socket file is removed by an RAII guard, so it disappears even
+//! when the server exits through an error path or a panic.
 //!
 //! ## Wire formats
 //!
@@ -121,22 +128,25 @@ use dsg_flow::FlowBackend;
 use crate::engine::Engine;
 use crate::minijson::{self, Value};
 use crate::query::{Algorithm, BackendRequest, Query, ResourcePolicy, Source};
+#[cfg(unix)]
+use crate::readiness::WakeReceiver;
 use crate::report::JsonBuilder;
+use crate::shard::ShardRuntime;
 
 /// Worker-pool sizing and durability wiring of the socket serve mode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Worker threads serving connections concurrently (clamped ≥ 1).
-    /// With `shards > 1` this sizes both the router's I/O workers and
-    /// each shard's executor pool.
+    /// Event loops serving connections concurrently (clamped ≥ 1).
+    /// With `shards > 1` this also sizes each shard's executor pool.
     pub workers: usize,
-    /// Bound of the pending-connection queue between the accept thread
-    /// and the workers (clamped ≥ 1). A full queue blocks the accept
-    /// thread — that is the backpressure.
+    /// Most connections served at once across all event loops (clamped
+    /// ≥ 1). At the cap the accept thread blocks until one closes —
+    /// that is the backpressure.
     pub max_connections: usize,
-    /// Engine shards (clamped ≥ 1). At 1 the classic single-engine pool
-    /// runs; above 1 a front router owns all connection I/O and hash-
-    /// routes each request to one of `shards` independent engines over
+    /// Engine shards (clamped ≥ 1). The same event loops serve every
+    /// count; it only decides where a decoded request goes. At 1 the
+    /// loop answers it with the engine the server was handed; above 1
+    /// it is hash-routed to one of `shards` independent engines over
     /// bounded per-shard queues — see [`crate::shard`].
     pub shards: usize,
     /// Root of the durable-session store (`None` = in-memory sessions).
@@ -168,9 +178,11 @@ impl Default for ServeOptions {
 }
 
 /// Shared serve-side accounting: request counters, the shutdown latch,
-/// and the concurrent-connection high-water mark. One instance is
-/// shared by every worker of a [`serve_unix`] run and surfaced by the
-/// `stats` op.
+/// and the concurrent-connection high-water mark. A [`serve_unix`] run
+/// shares one instance across its event loops for the connection
+/// accounting, the shutdown latch and decode errors, and keeps one more
+/// per shard for the requests that shard ran; `stats` and the summary
+/// read them all.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     queries: AtomicU64,
@@ -218,8 +230,8 @@ impl ServeMetrics {
         self.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// `(queries, mutations, errors)` so far — the shard layer sums
-    /// these across per-shard metrics for merged stats and summaries.
+    /// `(queries, mutations, errors)` so far — summed across the
+    /// per-shard metrics for `stats` and the serve summary.
     pub(crate) fn op_counts(&self) -> (u64, u64, u64) {
         (
             self.queries.load(Ordering::Relaxed),
@@ -228,8 +240,8 @@ impl ServeMetrics {
         )
     }
 
-    /// Counts one request answered with an error object (router-side
-    /// parse/framing errors that never reach a shard).
+    /// Counts one request answered with an error object because it
+    /// could not be decoded (it never reached an engine).
     pub(crate) fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -242,8 +254,8 @@ impl ServeMetrics {
             shutdown: self.shutdown_requested(),
             connections: self.total_connections.load(Ordering::Relaxed),
             peak_connections: self.peak_connections(),
-            // Engine-level counters; the serve entry points overwrite
-            // these from the engine they actually ran.
+            // Engine-level counters; `ShardRuntime::summary` adds them
+            // from the engines that actually ran.
             incremental_hits: 0,
             incremental_fallbacks: 0,
         }
@@ -275,8 +287,7 @@ pub struct ServeSummary {
 
 /// Runs the JSONL loop over arbitrary reader/writer pairs until EOF or a
 /// `shutdown` op, updating `metrics` as it goes. This is the stdio serve
-/// mode and the per-connection protocol of the socket mode (which adds
-/// shutdown-aware reads on top — see `serve_connection`).
+/// mode: one blocking connection, answered by `engine` alone.
 pub fn serve_loop<R: BufRead, W: Write>(
     engine: &Engine,
     default_policy: &ResourcePolicy,
@@ -284,81 +295,64 @@ pub fn serve_loop<R: BufRead, W: Write>(
     writer: &mut W,
     metrics: &ServeMetrics,
 ) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary {
-        connections: 1,
-        peak_connections: 1,
-        ..ServeSummary::default()
-    };
+    let runtime = ShardRuntime::new(engine, &ServeOptions::default(), 0)?;
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let (response, outcome) = handle_line(engine, default_policy, metrics, &line);
+        let (response, shutdown) = handle_line(&runtime, default_policy, metrics, &line);
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        match outcome {
-            LineOutcome::QueryOk => summary.queries += 1,
-            LineOutcome::MutationOk => summary.mutations += 1,
-            LineOutcome::OpOk => {}
-            LineOutcome::Error => summary.errors += 1,
-            LineOutcome::Shutdown => {
-                summary.shutdown = true;
-                break;
-            }
+        if shutdown {
+            break;
         }
     }
-    let inc = engine.incremental_stats();
-    summary.incremental_hits = inc.hits;
-    summary.incremental_fallbacks = inc.fallbacks;
-    Ok(summary)
+    Ok(ServeSummary {
+        connections: 1,
+        peak_connections: 1,
+        ..runtime.summary(metrics)
+    })
 }
 
-/// How one request line was disposed of (drives the summary counters:
-/// `stats`/`shutdown` ops are answered but are not *queries*; graph
-/// mutations are counted on their own).
-pub(crate) enum LineOutcome {
-    QueryOk,
-    MutationOk,
-    OpOk,
-    Error,
-    Shutdown,
-}
-
-/// Handles one request line; returns the response and its disposition.
-/// Also updates the shared metrics (so concurrent workers aggregate
-/// into one set of counters).
+/// Handles one request line; returns the response and whether it was a
+/// `shutdown`.
 fn handle_line(
-    engine: &Engine,
+    runtime: &ShardRuntime<'_>,
     default_policy: &ResourcePolicy,
     metrics: &ServeMetrics,
     line: &str,
-) -> (String, LineOutcome) {
-    let fields = match minijson::parse_object(line) {
-        Ok(f) => f,
+) -> (String, bool) {
+    match minijson::parse_object(line) {
+        Ok(fields) => handle_fields(runtime, 0, default_policy, metrics, &fields, None),
         Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return (error_response("null", &e.to_string()), LineOutcome::Error);
+            metrics.record_error();
+            (error_response("null", &e.to_string()), false)
         }
-    };
-    handle_fields(engine, default_policy, metrics, &fields, None)
+    }
 }
 
-/// Handles one parsed request — the shared semantic core of both wire
-/// formats. The JSONL path parses a line and passes the fields with no
-/// override; the binary path decodes a frame payload and passes the
-/// frame's opcode as `op_override` (binary requests carry the op in the
-/// header, not as a field). Everything downstream of here is identical,
-/// which is what makes binary replies byte-identical in content to
-/// JSONL response lines.
+/// Handles one parsed request against shard `shard` of `runtime` — the
+/// shared semantic core of both wire formats and every shard count.
+/// JSONL requests pass no override; binary requests pass the frame's
+/// opcode as `op_override` (binary requests carry the op in the header,
+/// not as a field). Everything downstream of here is identical, which
+/// is what makes binary replies byte-identical in content to JSONL
+/// response lines. Queries, mutations and their errors count on the
+/// shard's metrics; `stats` reads all shards plus the connection
+/// accounting of `metrics`, and `shutdown` latches `metrics`. Returns
+/// the response and whether the request was a `shutdown`.
 pub(crate) fn handle_fields(
-    engine: &Engine,
+    runtime: &ShardRuntime<'_>,
+    shard: usize,
     default_policy: &ResourcePolicy,
     metrics: &ServeMetrics,
     fields: &[(String, Value)],
     op_override: Option<&str>,
-) -> (String, LineOutcome) {
+) -> (String, bool) {
+    let engine = &runtime.engines()[shard];
+    let counters = runtime.shard_metrics(shard);
     let op = op_override.unwrap_or_else(|| {
         minijson::get(fields, "op")
             .and_then(Value::as_str)
@@ -373,111 +367,36 @@ pub(crate) fn handle_fields(
         None => j.raw_field("id", "null"),
     }
     let id = || minijson::get(fields, "id").map_or("null".to_string(), Value::to_json);
-    match op {
+    let outcome = match op {
         "shutdown" => {
             metrics.request_shutdown();
             j.raw_field("ok", "true");
             j.raw_field("bye", "true");
-            (j.finish(), LineOutcome::Shutdown)
+            return (j.finish(), true);
         }
         "stats" => {
-            let stats = engine.catalog().stats();
-            let results = engine.results().stats();
-            let warm = engine.warm_stats();
             j.raw_field("ok", "true");
-            j.num_field("loads", stats.loads as f64);
-            j.num_field("hits", stats.hits as f64);
-            j.num_field("stat_scans", stats.stat_scans as f64);
-            j.num_field("evictions", stats.evictions as f64);
-            j.num_field("graphs", engine.catalog().len() as f64);
-            j.num_field("result_hits", results.hits as f64);
-            j.num_field("result_misses", results.misses as f64);
-            j.num_field("result_insertions", results.insertions as f64);
-            j.num_field("result_evictions", results.evictions as f64);
-            j.num_field("result_entries", results.entries as f64);
-            j.num_field("result_bytes", results.bytes as f64);
-            j.num_field("conn_active", metrics.active_connections() as f64);
-            j.num_field("conn_peak", metrics.peak_connections() as f64);
-            j.num_field("mutations", engine.catalog().mutations() as f64);
-            j.num_field("graphs_named", engine.catalog().named_len() as f64);
-            j.num_field("warm_hits", warm.hits as f64);
-            j.num_field("warm_fallbacks", warm.fallbacks as f64);
-            let inc = engine.incremental_stats();
-            j.num_field("incremental_hits", inc.hits as f64);
-            j.num_field("incremental_fallbacks", inc.fallbacks as f64);
-            // Startup-recovery counters (zero on a non-durable server):
-            // the crash-recovery CI lane asserts on these structured
-            // fields instead of grepping server logs.
-            let (replayed, dropped) = engine.catalog().recovery_counters();
-            j.num_field("replayed_ops", replayed as f64);
-            j.num_field("dropped_tail_records", dropped as f64);
-            // Per-session-graph accounting, last so the flat fields
-            // above stay trivially greppable — and only when at least
-            // one session graph exists, so the response of a
-            // session-less server stays a flat object that the minijson
-            // request parser itself could read (the throughput
-            // experiment and older clients rely on that).
-            let named: Vec<String> = engine
-                .catalog()
-                .named_stats()
-                .iter()
-                .map(|g| {
-                    let mut item = JsonBuilder::new();
-                    item.str_field("name", &g.name);
-                    item.num_field("version", g.version as f64);
-                    item.num_field("nodes", g.nodes as f64);
-                    item.num_field("edges", g.edges as f64);
-                    item.num_field("delta_edges", g.delta_edges as f64);
-                    item.num_field("compactions", g.compactions as f64);
-                    item.num_field("warm_hits", g.warm_hits as f64);
-                    item.num_field("warm_fallbacks", g.warm_fallbacks as f64);
-                    item.num_field("incremental_hits", g.incremental_hits as f64);
-                    item.num_field("incremental_fallbacks", g.incremental_fallbacks as f64);
-                    item.num_field("wal_bytes", g.wal_bytes as f64);
-                    item.num_field("snapshot_version", g.snapshot_version as f64);
-                    item.num_field("last_fsync", g.last_fsync as f64);
-                    item.num_field("replayed_ops", g.replayed_ops as f64);
-                    item.num_field("dropped_tail_records", g.dropped_tail_records as f64);
-                    item.finish()
-                })
-                .collect();
-            if !named.is_empty() {
-                j.raw_field("named", &format!("[{}]", named.join(",")));
-            }
-            (j.finish(), LineOutcome::OpOk)
+            runtime.render_stats(metrics, &mut j);
+            return (j.finish(), false);
         }
         "create_graph" | "add_edges" | "remove_edges" | "compact" => {
             j.raw_field("ok", "true");
-            match run_mutation(engine, op, fields, &mut j) {
-                Ok(()) => {
-                    metrics.mutations.fetch_add(1, Ordering::Relaxed);
-                    (j.finish(), LineOutcome::MutationOk)
-                }
-                Err(e) => {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_response(&id(), &e), LineOutcome::Error)
-                }
-            }
+            run_mutation(engine, op, fields, &mut j).map(|()| &counters.mutations)
         }
         "query" => {
             j.raw_field("ok", "true");
-            match run_query(engine, default_policy, fields, &mut j) {
-                Ok(()) => {
-                    metrics.queries.fetch_add(1, Ordering::Relaxed);
-                    (j.finish(), LineOutcome::QueryOk)
-                }
-                Err(e) => {
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_response(&id(), &e), LineOutcome::Error)
-                }
-            }
+            run_query(engine, default_policy, fields, &mut j).map(|()| &counters.queries)
         }
-        other => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            (
-                error_response(&id(), &format!("unknown op '{other}'")),
-                LineOutcome::Error,
-            )
+        other => Err(format!("unknown op '{other}'")),
+    };
+    match outcome {
+        Ok(counter) => {
+            counter.fetch_add(1, Ordering::Relaxed);
+            (j.finish(), false)
+        }
+        Err(e) => {
+            counters.errors.fetch_add(1, Ordering::Relaxed);
+            (error_response(&id(), &e), false)
         }
     }
 }
@@ -776,13 +695,19 @@ impl Drop for SocketGuard {
 }
 
 /// Serves the JSONL loop on a Unix socket with an accept thread and a
-/// bounded worker pool (see the module docs for the concurrency model).
-/// A connection that fails mid-session — abrupt disconnect, a client
-/// that stops reading (EPIPE) — ends **that connection only**: the
-/// error is absorbed and the server keeps accepting. Only bind/accept
-/// failures take the server down. A stale socket file at `path` is
-/// replaced; the socket file is removed when the server stops — on
-/// clean shutdown *and* on error paths, via an RAII guard.
+/// bounded pool of event loops (see the module docs for the concurrency
+/// model). A connection that fails mid-session — abrupt disconnect, a
+/// client that stops reading (EPIPE) — ends **that connection only**:
+/// the error is absorbed and the server keeps accepting. Only bind,
+/// accept and data-dir failures take the server down. A stale socket
+/// file at `path` is replaced; the socket file is removed when the
+/// server stops — on clean shutdown *and* on error paths, via an RAII
+/// guard.
+///
+/// With one shard `engine` answers every request, and with a data dir
+/// it opens `<data_dir>/shard-0`, so a later `--shards n` restart finds
+/// shard 0's graphs where shard 0 will look for them. With more shards
+/// `engine` only donates its tuning to the per-shard engines.
 #[cfg(unix)]
 pub fn serve_unix(
     engine: &Engine,
@@ -816,40 +741,14 @@ pub fn serve_unix(
     std::fs::rename(&staging, path)?;
     guard.path = path.to_path_buf();
     let metrics = ServeMetrics::new();
-    if options.shards > 1 {
-        // Sharded mode: a front router owns the accept loop and all
-        // connection I/O; `engine` serves only as the tuning template
-        // for the per-shard engines (each of which opens its own
-        // `shard-<i>` data subdirectory). The guard above still removes
-        // the socket file on every exit path.
-        return crate::shard::run_sharded_pool(engine, policy, &listener, options, &metrics);
-    }
-    if let Some(dir) = &options.data_dir {
-        // Single-shard durability: the serving engine itself opens
-        // `shard-0`, so a later `--shards n` restart finds shard 0's
-        // graphs where shard 0 will look for them.
-        if !engine.catalog().is_durable() {
-            engine
-                .catalog()
-                .open_data_dir(
-                    &dir.join("shard-0"),
-                    options.fsync_every,
-                    options.snapshot_every,
-                )
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        }
-    }
-    run_pool(engine, policy, &listener, options, &metrics)?;
-    let mut summary = metrics.summary();
-    let inc = engine.incremental_stats();
-    summary.incremental_hits = inc.hits;
-    summary.incremental_fallbacks = inc.fallbacks;
-    Ok(summary)
+    let runtime = ShardRuntime::new(engine, options, crate::shard::SHARD_QUEUE_CAP)?;
+    run_pool(&runtime, policy, &listener, options, &metrics)?;
+    Ok(runtime.summary(&metrics))
 }
 
 /// Write high-water mark per connection: once this many response bytes
 /// are buffered unsent (the client has stopped reading), the server
-/// stops reading and processing further requests from that connection
+/// stops reading and decoding further requests from that connection
 /// until the backlog drains below the mark. A slow reader throttles
 /// itself, never the server — and never pins a graceful shutdown open.
 #[cfg(unix)]
@@ -860,8 +759,8 @@ pub(crate) const WRITE_HWM: usize = 256 * 1024;
 #[cfg(unix)]
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
-/// Counts live connections across all workers and blocks the accept
-/// thread at `max_connections` — the pool's backpressure.
+/// Counts live connections across all event loops and blocks the
+/// accept thread at `max_connections` — the pool's backpressure.
 #[cfg(unix)]
 pub(crate) struct ConnGate {
     used: std::sync::Mutex<usize>,
@@ -908,100 +807,153 @@ impl ConnGate {
     }
 }
 
-/// One worker's handoff mailbox: the accept thread pushes accepted
-/// connections and rings the waker; the worker adopts them at its next
-/// event-loop turn.
+/// One event loop's mailboxes: accepted connections in, completed
+/// shard runs back. One waker covers both.
 #[cfg(unix)]
-struct WorkerSlot {
-    intake: std::sync::Mutex<Vec<std::os::unix::net::UnixStream>>,
+struct LoopSlot {
+    arrivals: std::sync::Mutex<Vec<std::os::unix::net::UnixStream>>,
+    completions: std::sync::Mutex<Vec<crate::shard::Completion>>,
     waker: crate::readiness::Waker,
 }
 
-/// Everything the accept thread and the workers share besides the
-/// engine and metrics.
+/// Everything the accept thread, the event loops and the shard
+/// executors share besides the shards and the metrics.
 #[cfg(unix)]
-struct PoolShared {
-    slots: Vec<WorkerSlot>,
+pub(crate) struct Pool {
+    slots: Vec<LoopSlot>,
     accept_waker: crate::readiness::Waker,
     gate: ConnGate,
 }
 
 #[cfg(unix)]
-impl PoolShared {
-    /// Wakes every event loop (workers and accept thread) plus the
-    /// gate; called once shutdown latches so nobody stays parked.
-    fn wake_all(&self) {
+impl Pool {
+    /// A pool of `workers` event-loop slots, with the wake receivers of
+    /// the accept thread and of each event loop.
+    pub(crate) fn new(
+        workers: usize,
+        max_connections: usize,
+    ) -> std::io::Result<(Self, WakeReceiver, Vec<WakeReceiver>)> {
+        use crate::readiness::wake_pair;
+
+        let (accept_waker, accept_rx) = wake_pair()?;
+        let mut slots = Vec::with_capacity(workers);
+        let mut receivers = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let (waker, rx) = wake_pair()?;
+            slots.push(LoopSlot {
+                arrivals: std::sync::Mutex::new(Vec::new()),
+                completions: std::sync::Mutex::new(Vec::new()),
+                waker,
+            });
+            receivers.push(rx);
+        }
+        let pool = Pool {
+            slots,
+            accept_waker,
+            gate: ConnGate::new(max_connections),
+        };
+        Ok((pool, accept_rx, receivers))
+    }
+
+    /// Wakes every parked thread — event loops, the accept thread, the
+    /// gate, and the shard executors — once shutdown latches.
+    fn wake_all(&self, runtime: &ShardRuntime<'_>) {
         for slot in &self.slots {
             slot.waker.wake();
         }
         self.accept_waker.wake();
         self.gate.poke();
+        runtime.wake_executors();
+    }
+
+    /// Wakes event loop `worker`.
+    pub(crate) fn wake(&self, worker: usize) {
+        self.slots[worker].waker.wake();
+    }
+
+    /// Mails a shard's completed run home to event loop `worker`.
+    pub(crate) fn deliver(&self, worker: usize, completion: crate::shard::Completion) {
+        let home = &self.slots[worker];
+        home.completions
+            .lock()
+            .expect("completion mailbox poisoned")
+            .push(completion);
+        home.waker.wake();
     }
 }
 
-/// The accept thread + per-worker event loops around a bound listener.
+/// What an event loop works with: the shards, the server's default
+/// policy and metrics, the pool, and which loop it is.
 #[cfg(unix)]
-fn run_pool(
-    engine: &Engine,
+pub(crate) struct LoopCtx<'a> {
+    pub(crate) runtime: &'a ShardRuntime<'a>,
+    pub(crate) policy: &'a ResourcePolicy,
+    pub(crate) metrics: &'a ServeMetrics,
+    pub(crate) pool: &'a Pool,
+    pub(crate) worker: usize,
+}
+
+/// The accept thread, the event loops and (with more than one shard)
+/// each shard's executors around a bound listener, all under one
+/// scope. The accept loop ends on shutdown or error, latches the stop
+/// flag and wakes everyone; the scope join is the drain.
+#[cfg(unix)]
+pub(crate) fn run_pool(
+    runtime: &ShardRuntime<'_>,
     policy: &ResourcePolicy,
     listener: &std::os::unix::net::UnixListener,
     options: &ServeOptions,
     metrics: &ServeMetrics,
 ) -> std::io::Result<()> {
-    use crate::readiness::wake_pair;
-
     let workers = options.workers.max(1);
     listener.set_nonblocking(true)?;
-    let (accept_waker, accept_rx) = wake_pair()?;
-    let mut slots = Vec::with_capacity(workers);
-    let mut receivers = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (waker, rx) = wake_pair()?;
-        slots.push(WorkerSlot {
-            intake: std::sync::Mutex::new(Vec::new()),
-            waker,
-        });
-        receivers.push(rx);
-    }
-    let shared = PoolShared {
-        slots,
-        accept_waker,
-        gate: ConnGate::new(options.max_connections),
-    };
+    let (pool, accept_rx, receivers) = Pool::new(workers, options.max_connections)?;
+    let pool = &pool;
     std::thread::scope(|s| {
-        for (index, rx) in receivers.into_iter().enumerate() {
-            let shared = &shared;
-            s.spawn(move || worker_event_loop(engine, policy, metrics, shared, index, rx));
+        for (worker, rx) in receivers.into_iter().enumerate() {
+            let ctx = LoopCtx {
+                runtime,
+                policy,
+                metrics,
+                pool,
+                worker,
+            };
+            s.spawn(move || event_loop(ctx, rx));
+        }
+        for shard in runtime.queued_shards() {
+            for _ in 0..workers {
+                s.spawn(move || crate::shard::executor_loop(runtime, shard, policy, metrics, pool));
+            }
         }
         let mut next_worker = 0usize;
         let accept_result = loop {
             // Backpressure: at `max_connections` live connections this
             // parks until one closes (or shutdown latches).
-            if !shared.gate.acquire(metrics) {
+            if !pool.gate.acquire(metrics) {
                 break Ok(());
             }
             match accept_next(listener, &accept_rx, metrics) {
                 Ok(Some(conn)) => {
-                    let slot = &shared.slots[next_worker % shared.slots.len()];
+                    let slot = &pool.slots[next_worker % pool.slots.len()];
                     next_worker = next_worker.wrapping_add(1);
-                    slot.intake.lock().expect("intake poisoned").push(conn);
+                    slot.arrivals.lock().expect("arrivals poisoned").push(conn);
                     slot.waker.wake();
                 }
                 Ok(None) => {
-                    shared.gate.release();
+                    pool.gate.release();
                     break Ok(());
                 }
                 Err(e) => {
-                    shared.gate.release();
+                    pool.gate.release();
                     break Err(e);
                 }
             }
         };
-        // Stop the workers: latch shutdown and wake every event loop.
-        // In-flight requests still finish and their responses are
-        // flushed best-effort; the scope join below is the drain.
+        // Stop everyone: latch shutdown and wake every thread. In-flight
+        // requests still finish and their responses are flushed
+        // best-effort; the scope join below is the drain.
         metrics.request_shutdown();
-        shared.wake_all();
+        pool.wake_all(runtime);
         accept_result
     })
 }
@@ -1011,7 +963,7 @@ fn run_pool(
 #[cfg(unix)]
 pub(crate) fn accept_next(
     listener: &std::os::unix::net::UnixListener,
-    wake_rx: &crate::readiness::WakeReceiver,
+    wake_rx: &WakeReceiver,
     metrics: &ServeMetrics,
 ) -> std::io::Result<Option<std::os::unix::net::UnixStream>> {
     use crate::readiness::{poll_fds, PollFd, POLLIN};
@@ -1039,45 +991,57 @@ pub(crate) fn accept_next(
     }
 }
 
-/// One worker's event loop: adopt handed-over connections, park in
-/// `poll(2)` over the whole set (infinite timeout — an idle worker
-/// costs zero wakeups), service whatever turned ready, prune the dead.
+/// One event loop: adopt handed-over connections into a slab (a slot's
+/// generation tells a late completion for a closed connection apart
+/// from its successor), park in `poll(2)` over every connection that
+/// can act on readiness (infinite timeout — an idle loop costs zero
+/// wakeups), splice completed shard runs home, service whatever is due,
+/// prune the dead.
 #[cfg(unix)]
-fn worker_event_loop(
-    engine: &Engine,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    shared: &PoolShared,
-    index: usize,
-    wake_rx: crate::readiness::WakeReceiver,
-) {
+fn event_loop(ctx: LoopCtx<'_>, wake_rx: WakeReceiver) {
     use crate::readiness::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
     use std::os::fd::AsRawFd;
 
-    let mut conns: Vec<Connection> = Vec::new();
+    let home = &ctx.pool.slots[ctx.worker];
+    let mut conns: Vec<Option<Connection>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    let mut gen_counter = 0u64;
     let mut scratch = minijson::FieldScratch::new();
     let mut fds: Vec<PollFd> = Vec::new();
+    let mut fd_slots: Vec<usize> = Vec::new();
     loop {
-        if metrics.shutdown_requested() {
+        if ctx.metrics.shutdown_requested() {
             break;
         }
-        // Adopt newly assigned connections.
         let adopted: Vec<_> = {
-            let mut intake = shared.slots[index].intake.lock().expect("intake poisoned");
-            intake.drain(..).collect()
+            let mut arrivals = home.arrivals.lock().expect("arrivals poisoned");
+            arrivals.drain(..).collect()
         };
         for stream in adopted {
             match stream.set_nonblocking(true) {
                 Ok(()) => {
-                    metrics.connection_opened();
-                    conns.push(Connection::new(stream));
+                    ctx.metrics.connection_opened();
+                    gen_counter += 1;
+                    let mut conn = Connection::new(stream);
+                    conn.gen = gen_counter;
+                    match free.pop() {
+                        Some(slot) => conns[slot] = Some(conn),
+                        None => conns.push(Some(conn)),
+                    }
                 }
-                Err(_) => shared.gate.release(),
+                Err(_) => ctx.pool.gate.release(),
             }
         }
+        // Poll only connections that can act on readiness. A connection
+        // awaiting a shard (in flight or parked) with nothing to write
+        // is deliberately absent — its wake arrives via the completion
+        // mailbox, and polling its fd would busy-spin on POLLHUP if the
+        // client hung up mid-request.
         fds.clear();
+        fd_slots.clear();
         fds.push(PollFd::new(wake_rx.fd(), POLLIN));
-        for conn in &conns {
+        for (slot, entry) in conns.iter().enumerate() {
+            let Some(conn) = entry else { continue };
             let mut events = 0i16;
             if conn.wants_read() {
                 events |= POLLIN;
@@ -1085,60 +1049,84 @@ fn worker_event_loop(
             if conn.wants_write() {
                 events |= POLLOUT;
             }
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                fd_slots.push(slot);
+            }
         }
         if poll_fds(&mut fds, -1).is_err() {
             // A poll failure is unrecoverable for this loop; take the
             // whole server down gracefully rather than spinning.
-            metrics.request_shutdown();
-            shared.wake_all();
+            ctx.metrics.request_shutdown();
+            ctx.pool.wake_all(ctx.runtime);
             break;
         }
         if fds[0].ready(POLLIN) {
             wake_rx.drain();
         }
-        let mut saw_shutdown = false;
-        for (conn, pfd) in conns.iter_mut().zip(&fds[1..]) {
+        // Splice completed runs home first, so the service pass below
+        // can flush them and dispatch each connection's next run in the
+        // same turn.
+        crate::shard::apply_completions(take_completions(home), &mut conns);
+        for (pfd, &slot) in fds[1..].iter().zip(&fd_slots) {
             if pfd.ready(POLLIN | POLLOUT | POLLERR | POLLHUP) {
-                conn.service(
-                    pfd.ready(POLLIN | POLLERR | POLLHUP),
-                    engine,
-                    policy,
-                    metrics,
-                    &mut scratch,
-                    &mut saw_shutdown,
-                );
+                if let Some(conn) = conns[slot].as_mut() {
+                    conn.due = true;
+                }
             }
+        }
+        let mut saw_shutdown = false;
+        for (slot, entry) in conns.iter_mut().enumerate() {
+            let Some(conn) = entry else { continue };
+            // Parked connections get a turn every wake: the executor
+            // that freed queue capacity woke this loop, and the retry
+            // lives in the dispatch path.
+            if !std::mem::take(&mut conn.due) && conn.parked.is_none() {
+                continue;
+            }
+            conn.service(&ctx, slot, &mut scratch, &mut saw_shutdown);
             if saw_shutdown {
                 break;
             }
         }
-        conns.retain(|conn| {
-            if conn.dead {
-                metrics.connection_closed();
-                shared.gate.release();
+        for (slot, entry) in conns.iter_mut().enumerate() {
+            if entry.as_ref().is_some_and(|c| c.dead && !c.in_flight) {
+                *entry = None;
+                free.push(slot);
+                ctx.metrics.connection_closed();
+                ctx.pool.gate.release();
             }
-            !conn.dead
-        });
+        }
         if saw_shutdown {
-            // handle_fields already latched the flag; wake everyone so
-            // the other event loops (and the accept thread) observe it
-            // now instead of at their next natural wakeup.
-            shared.wake_all();
+            // The shutdown reply already latched the flag; wake everyone
+            // so the other loops, the accept thread and the executors
+            // observe it now instead of at their next natural wakeup.
+            ctx.pool.wake_all(ctx.runtime);
             break;
         }
     }
-    // Shutdown drain: one best-effort nonblocking flush per connection
-    // (responses already buffered go out if the client is reading; a
-    // client that stopped reading is abandoned immediately — shutdown
-    // never blocks on it), then close everything.
-    for conn in &mut conns {
+    // Shutdown drain: deliver replies already mailed back, then one
+    // best-effort nonblocking flush per connection (a client that
+    // stopped reading is abandoned immediately — shutdown never blocks
+    // on it), then close everything.
+    crate::shard::apply_completions(take_completions(home), &mut conns);
+    for conn in conns.iter_mut().flatten() {
         if !conn.dead {
             conn.flush();
         }
-        metrics.connection_closed();
-        shared.gate.release();
+        ctx.metrics.connection_closed();
+        ctx.pool.gate.release();
     }
+}
+
+/// Empties an event loop's completion mailbox.
+#[cfg(unix)]
+fn take_completions(home: &LoopSlot) -> Vec<crate::shard::Completion> {
+    let mut mailbox = home
+        .completions
+        .lock()
+        .expect("completion mailbox poisoned");
+    std::mem::take(&mut *mailbox)
 }
 
 /// Which wire format a connection's first byte selected.
@@ -1152,10 +1140,10 @@ pub(crate) enum WireMode {
     Binary,
 }
 
-/// One multiplexed connection: its stream, detected wire mode, and the
-/// reusable read/write buffers (the scratch-buffer reuse layer — both
-/// buffers and the shared parse arena persist across requests, so
-/// steady-state decoding allocates nothing).
+/// One multiplexed connection: its stream, detected wire mode, the
+/// reusable read/write buffers (both persist across requests, so
+/// steady-state decoding allocates nothing), and — with more than one
+/// shard — its requests on their way to and from a shard.
 #[cfg(unix)]
 pub(crate) struct Connection {
     pub(crate) stream: std::os::unix::net::UnixStream,
@@ -1171,6 +1159,18 @@ pub(crate) struct Connection {
     pub(crate) eof: bool,
     /// Remove from the set at the next prune.
     pub(crate) dead: bool,
+    /// Slab generation of this connection's event-loop slot.
+    pub(crate) gen: u64,
+    /// Decoded requests not yet handed to a shard, in order (always
+    /// empty at one shard).
+    pub(crate) pending: std::collections::VecDeque<crate::shard::PendingItem>,
+    /// A run bounced off its full shard queue, retried before anything
+    /// else.
+    pub(crate) parked: Option<(usize, crate::shard::ShardJob)>,
+    /// A run of this connection is at a shard; its replies are owed.
+    pub(crate) in_flight: bool,
+    /// Service this connection in the current loop turn.
+    pub(crate) due: bool,
 }
 
 #[cfg(unix)]
@@ -1185,6 +1185,11 @@ impl Connection {
             wpos: 0,
             eof: false,
             dead: false,
+            gen: 0,
+            pending: std::collections::VecDeque::new(),
+            parked: None,
+            in_flight: false,
+            due: false,
         }
     }
 
@@ -1196,39 +1201,48 @@ impl Connection {
         self.pending_write() >= WRITE_HWM
     }
 
+    pub(crate) fn binary(&self) -> bool {
+        matches!(self.mode, WireMode::Binary)
+    }
+
+    /// Nothing of this connection waits on a shard: every reply owed so
+    /// far is in `wbuf`.
+    fn idle(&self) -> bool {
+        !self.in_flight && self.parked.is_none() && self.pending.is_empty()
+    }
+
+    /// Read more bytes only when the connection could act on them: not
+    /// over the write high-water mark, and not while requests of it are
+    /// still on their way to a shard — that is the per-connection
+    /// backpressure that bounds server memory.
     fn wants_read(&self) -> bool {
-        !self.dead && !self.eof && !self.backlogged()
+        !self.dead && !self.eof && !self.backlogged() && self.idle()
     }
 
     pub(crate) fn wants_write(&self) -> bool {
         !self.dead && self.pending_write() > 0
     }
 
-    /// One service turn: pull readable bytes, answer every complete
-    /// request (stopping at the write high-water mark), flush. Called
-    /// only when `poll` reported the connection ready.
-    fn service(
+    /// One service turn: read, decode and submit every complete request
+    /// (stopping at the write high-water mark), move queued runs on,
+    /// flush. Reads at most once per turn, as soon as the connection
+    /// wants input.
+    pub(crate) fn service(
         &mut self,
-        readable: bool,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
+        ctx: &LoopCtx<'_>,
+        slot: usize,
         scratch: &mut minijson::FieldScratch,
         saw_shutdown: &mut bool,
     ) {
-        if readable && self.wants_read() {
-            self.fill_rbuf();
-        }
+        let mut may_read = true;
         loop {
             let was_backlogged = self.backlogged();
-            let mut progressed = false;
-            while !self.dead
-                && !*saw_shutdown
-                && !self.backlogged()
-                && self.process_one(engine, policy, metrics, scratch, saw_shutdown)
-            {
-                progressed = true;
+            if may_read && self.wants_read() {
+                self.fill_rbuf();
+                may_read = false;
             }
+            let mut progressed = self.extract(ctx, scratch, saw_shutdown);
+            progressed |= crate::shard::dispatch(ctx, self, slot, saw_shutdown);
             if self.wants_write() {
                 self.flush();
             }
@@ -1237,19 +1251,19 @@ impl Connection {
             }
             if was_backlogged {
                 // Entered this turn over the high-water mark (a POLLOUT
-                // wake), so the process loop above was skipped — but the
+                // wake), so nothing was decoded or dispatched — but the
                 // flush just cleared the backlog. Complete requests may
-                // still sit in `rbuf`, and a pipelining client that has
-                // sent everything will never trigger another POLLIN;
-                // retry processing now rather than stranding them.
+                // still sit in `rbuf` or `pending`, and a pipelining
+                // client that has sent everything will never trigger
+                // another POLLIN; retry now rather than stranding them.
                 continue;
             }
             if !progressed {
                 break;
             }
         }
-        if !self.dead && self.eof && self.pending_write() == 0 {
-            // Peer half-closed, every buffered response is out, and no
+        if !self.dead && self.eof && self.pending_write() == 0 && self.idle() {
+            // Peer half-closed, every owed response is out, and no
             // complete request remains (a trailing partial line/frame at
             // EOF is dropped, as the line reader always did).
             self.dead = true;
@@ -1283,67 +1297,66 @@ impl Connection {
         }
     }
 
-    /// Consumes and answers one complete request from the read buffer.
-    /// Returns `false` when no complete request is buffered.
-    fn process_one(
+    /// The one request-extraction path: decodes every complete unit
+    /// buffered in `rbuf` — a JSONL line, a frame, each item of a batch
+    /// frame — into the loop's reusable parse scratch and submits it.
+    /// Stops at a partial line or frame, at a shutdown, and at the write
+    /// high-water mark. Returns whether it consumed input.
+    fn extract(
         &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
+        ctx: &LoopCtx<'_>,
         scratch: &mut minijson::FieldScratch,
         saw_shutdown: &mut bool,
     ) -> bool {
-        if self.rpos >= self.rbuf.len() {
-            if self.rpos > 0 {
-                self.rbuf.clear();
-                self.rpos = 0;
+        // Moved out for the duration, so a request decoded in place can
+        // be submitted (which writes its reply) without copying it out.
+        let rbuf = std::mem::take(&mut self.rbuf);
+        let mut progressed = false;
+        while self.rpos < rbuf.len() && !self.dead && !*saw_shutdown && !self.backlogged() {
+            let input = &rbuf[self.rpos..];
+            if matches!(self.mode, WireMode::Undetected) {
+                // The negotiation: one byte settles the connection's
+                // wire format for its whole lifetime.
+                self.mode = if input[0] == crate::frame::MAGIC {
+                    WireMode::Binary
+                } else {
+                    WireMode::Jsonl
+                };
             }
-            return false;
-        }
-        if matches!(self.mode, WireMode::Undetected) {
-            // The negotiation: one byte settles the connection's wire
-            // format for its whole lifetime.
-            self.mode = if self.rbuf[self.rpos] == crate::frame::MAGIC {
-                WireMode::Binary
+            let consumed = if self.binary() {
+                self.extract_frame(input, ctx, scratch, saw_shutdown)
             } else {
-                WireMode::Jsonl
+                self.extract_line(input, ctx, scratch, saw_shutdown)
             };
+            let Some(consumed) = consumed else { break };
+            self.rpos += consumed;
+            progressed = true;
         }
-        // Mode is settled above; anything non-binary (including a
-        // hypothetical undetected state) takes the JSONL path, whose
-        // parser answers malformed input with an error reply instead of
-        // panicking a worker.
-        let handled = if matches!(self.mode, WireMode::Binary) {
-            self.process_frame(engine, policy, metrics, scratch, saw_shutdown)
-        } else {
-            self.process_jsonl(engine, policy, metrics, scratch, saw_shutdown)
-        };
-        if handled && self.rpos >= READ_CHUNK {
+        self.rbuf = rbuf;
+        if self.rpos >= self.rbuf.len() {
+            self.rbuf.clear();
+            self.rpos = 0;
+        } else if self.rpos >= READ_CHUNK {
             self.rbuf.drain(..self.rpos);
             self.rpos = 0;
         }
-        handled
+        progressed
     }
 
-    /// Answers one JSONL line, if a complete one is buffered.
-    fn process_jsonl(
+    /// Submits the JSONL line at the head of `input`, if it is complete;
+    /// returns the bytes it used.
+    fn extract_line(
         &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
+        input: &[u8],
+        ctx: &LoopCtx<'_>,
         scratch: &mut minijson::FieldScratch,
         saw_shutdown: &mut bool,
-    ) -> bool {
-        let Some(nl) = self.rbuf[self.rpos..].iter().position(|&b| b == b'\n') else {
-            return false;
-        };
-        let start = self.rpos;
-        self.rpos = start + nl + 1;
-        let raw = &self.rbuf[start..start + nl];
-        // Tolerate invalid UTF-8 the same way the old byte-level reader
-        // did: lossy-decode and let the JSON parser emit the typed
-        // error. The valid-UTF-8 hot path parses straight from the read
-        // buffer, no copy.
+    ) -> Option<usize> {
+        let nl = input.iter().position(|&b| b == b'\n')?;
+        let raw = &input[..nl];
+        // Tolerate invalid UTF-8: lossy-decode and let the JSON parser
+        // emit the typed error. The valid-UTF-8 hot path parses straight
+        // from the read buffer, no copy.
         let lossy;
         let text = match std::str::from_utf8(raw) {
             Ok(text) => text,
@@ -1352,64 +1365,135 @@ impl Connection {
                 &lossy
             }
         };
-        if text.trim().is_empty() {
-            return true;
-        }
-        let (response, outcome) = match minijson::parse_object_into(text, scratch) {
-            Ok(()) => handle_fields(engine, policy, metrics, scratch.fields(), None),
-            Err(e) => {
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                (error_response("null", &e.to_string()), LineOutcome::Error)
+        if !text.trim().is_empty() {
+            match minijson::parse_object_into(text, scratch) {
+                Ok(()) => self.submit(ctx, None, scratch.fields(), saw_shutdown),
+                Err(e) => self.reject(ctx, &e.to_string()),
             }
-        };
-        self.wbuf.extend_from_slice(response.as_bytes());
-        self.wbuf.push(b'\n');
-        if matches!(outcome, LineOutcome::Shutdown) {
-            *saw_shutdown = true;
         }
-        true
+        Some(nl + 1)
     }
 
-    /// Answers one binary frame, if a complete one is buffered.
-    fn process_frame(
+    /// Submits the request(s) of the frame at the head of `input`, if it
+    /// is complete: a plain request frame, or every item of a batch
+    /// frame in order (that is the pipelining contract); returns the
+    /// bytes it used. A bad request payload is a per-request typed
+    /// error — the frame boundary is intact, so the stream stays
+    /// synchronized. Framing damage poisons the connection.
+    fn extract_frame(
         &mut self,
-        engine: &Engine,
-        policy: &ResourcePolicy,
-        metrics: &ServeMetrics,
+        input: &[u8],
+        ctx: &LoopCtx<'_>,
         scratch: &mut minijson::FieldScratch,
         saw_shutdown: &mut bool,
-    ) -> bool {
-        let outcome = match crate::frame::decode_frame(
-            &self.rbuf[self.rpos..],
-            crate::frame::DEFAULT_MAX_FRAME,
-        ) {
-            Ok(None) => return false,
-            Ok(Some((opcode, payload, consumed))) => handle_frame(
-                opcode,
-                payload,
-                engine,
-                policy,
-                metrics,
-                scratch,
-                &mut self.wbuf,
-                saw_shutdown,
-            )
-            .map(|()| consumed),
-            Err(e) => Err(e),
+    ) -> Option<usize> {
+        use crate::frame::{self, FrameError, Opcode};
+
+        let (opcode, payload, consumed) = match frame::decode_frame(input, frame::DEFAULT_MAX_FRAME)
+        {
+            Ok(None) => return None,
+            Ok(Some(decoded)) => decoded,
+            Err(e) => return Some(self.poison(ctx, &e.to_string(), input)),
         };
-        match outcome {
-            Ok(consumed) => self.rpos += consumed,
-            Err(e) => {
-                // Framing damage cannot be re-synchronized: answer with
-                // one typed error reply, discard the remaining input,
-                // and close once the reply drains.
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                crate::frame::encode_reply(&error_response("null", &e.to_string()), &mut self.wbuf);
-                self.rpos = self.rbuf.len();
-                self.eof = true;
+        let items = match opcode {
+            Opcode::Reply => {
+                let e = FrameError::Misplaced("a client must not send reply frames");
+                return Some(self.poison(ctx, &e.to_string(), input));
+            }
+            Opcode::Batch => frame::batch_items(payload),
+            // A plain request frame: its payload is the one item.
+            op => {
+                self.extract_payload(op, payload, ctx, scratch, saw_shutdown);
+                return Some(consumed);
+            }
+        };
+        for item in items {
+            let (op, body) = match item {
+                Ok(item) => item,
+                Err(e) => return Some(self.poison(ctx, &e.to_string(), input)),
+            };
+            self.extract_payload(op, body, ctx, scratch, saw_shutdown);
+            if *saw_shutdown {
+                // Requests after a shutdown go unanswered, exactly like
+                // JSONL lines after a shutdown go unread.
+                break;
             }
         }
-        true
+        Some(consumed)
+    }
+
+    /// Decodes one binary request payload into the scratch and submits
+    /// it, or rejects it with its typed decode error.
+    fn extract_payload(
+        &mut self,
+        opcode: crate::frame::Opcode,
+        payload: &[u8],
+        ctx: &LoopCtx<'_>,
+        scratch: &mut minijson::FieldScratch,
+        saw_shutdown: &mut bool,
+    ) {
+        match crate::frame::decode_request_payload(payload, scratch) {
+            Ok(()) => self.submit(ctx, Some(opcode.op_name()), scratch.fields(), saw_shutdown),
+            Err(e) => self.reject(ctx, &e.to_string()),
+        }
+    }
+
+    /// The one place the shard count matters. With one shard the
+    /// request is answered now, on this thread, straight from the
+    /// scratch; with more it becomes an owned pending item that joins a
+    /// same-shard run for that shard's queue (see [`crate::shard`]).
+    fn submit(
+        &mut self,
+        ctx: &LoopCtx<'_>,
+        op: Option<&'static str>,
+        fields: &[(String, Value)],
+        saw_shutdown: &mut bool,
+    ) {
+        if ctx.runtime.inline() {
+            let binary = self.binary();
+            let shutdown = answer(
+                ctx.runtime,
+                0,
+                ctx.policy,
+                ctx.metrics,
+                op,
+                fields,
+                binary,
+                &mut self.wbuf,
+            );
+            if shutdown {
+                *saw_shutdown = true;
+            }
+        } else {
+            let shards = ctx.runtime.engines().len();
+            self.pending
+                .push_back(crate::shard::PendingItem::new(op, fields, shards));
+        }
+    }
+
+    /// Answers a request that could not be decoded with a typed error
+    /// reply: now when every earlier reply of this connection is already
+    /// in `wbuf`, else in its turn behind the pending ones.
+    fn reject(&mut self, ctx: &LoopCtx<'_>, message: &str) {
+        ctx.metrics.record_error();
+        let reply = error_response("null", message);
+        if self.idle() {
+            encode_response(self.binary(), &reply, &mut self.wbuf);
+        } else {
+            let mut bytes = Vec::new();
+            encode_response(self.binary(), &reply, &mut bytes);
+            self.pending
+                .push_back(crate::shard::PendingItem::Error(bytes));
+        }
+    }
+
+    /// Framing damage cannot be re-synchronized: one typed error reply,
+    /// all of `input` discarded (the returned length), and the
+    /// connection closes once its replies drain.
+    fn poison(&mut self, ctx: &LoopCtx<'_>, message: &str, input: &[u8]) -> usize {
+        self.reject(ctx, message);
+        self.eof = true;
+        input.len()
     }
 
     /// Writes as much of the backlog as the socket accepts right now.
@@ -1439,95 +1523,35 @@ impl Connection {
     }
 }
 
-/// Dispatches one decoded frame: a plain request is answered with one
-/// reply frame; a batch frame is answered with one reply frame **per
-/// item, in order** — that is the pipelining contract. `Err` means the
-/// frame (or a batch item) was malformed at the framing layer and the
-/// connection must be poisoned.
+/// Runs one decoded request on shard `shard` and appends its encoded
+/// reply (a JSONL line, or a binary reply frame) to `out`. Both sides of
+/// the shard seam answer through here: the event loop at one shard (and
+/// for `stats`/`shutdown`), a shard's executor otherwise. Returns
+/// whether the request was a `shutdown`.
 #[cfg(unix)]
 #[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    opcode: crate::frame::Opcode,
-    payload: &[u8],
-    engine: &Engine,
+pub(crate) fn answer(
+    runtime: &ShardRuntime<'_>,
+    shard: usize,
     policy: &ResourcePolicy,
     metrics: &ServeMetrics,
-    scratch: &mut minijson::FieldScratch,
-    wbuf: &mut Vec<u8>,
-    saw_shutdown: &mut bool,
-) -> Result<(), crate::frame::FrameError> {
-    use crate::frame::{FrameError, Opcode};
-
-    match opcode {
-        Opcode::Reply => Err(FrameError::Misplaced("a client must not send reply frames")),
-        Opcode::Batch => {
-            for item in crate::frame::batch_items(payload) {
-                let (op, body) = item?;
-                handle_request_frame(
-                    op,
-                    body,
-                    engine,
-                    policy,
-                    metrics,
-                    scratch,
-                    wbuf,
-                    saw_shutdown,
-                );
-                if *saw_shutdown {
-                    // Requests after a shutdown go unanswered, exactly
-                    // like JSONL lines after a shutdown go unread.
-                    break;
-                }
-            }
-            Ok(())
-        }
-        op => {
-            handle_request_frame(
-                op,
-                payload,
-                engine,
-                policy,
-                metrics,
-                scratch,
-                wbuf,
-                saw_shutdown,
-            );
-            Ok(())
-        }
-    }
+    op: Option<&str>,
+    fields: &[(String, Value)],
+    binary: bool,
+    out: &mut Vec<u8>,
+) -> bool {
+    let (response, shutdown) = handle_fields(runtime, shard, policy, metrics, fields, op);
+    encode_response(binary, &response, out);
+    shutdown
 }
 
-/// Decodes and answers one binary request, appending its reply frame.
-/// A bad payload is a per-request typed error (the frame boundary is
-/// intact, so the stream stays synchronized), not a poisoned connection.
 #[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn handle_request_frame(
-    opcode: crate::frame::Opcode,
-    payload: &[u8],
-    engine: &Engine,
-    policy: &ResourcePolicy,
-    metrics: &ServeMetrics,
-    scratch: &mut minijson::FieldScratch,
-    wbuf: &mut Vec<u8>,
-    saw_shutdown: &mut bool,
-) {
-    let (response, outcome) = match crate::frame::decode_request_payload(payload, scratch) {
-        Ok(()) => handle_fields(
-            engine,
-            policy,
-            metrics,
-            scratch.fields(),
-            Some(opcode.op_name()),
-        ),
-        Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            (error_response("null", &e.to_string()), LineOutcome::Error)
-        }
-    };
-    crate::frame::encode_reply(&response, wbuf);
-    if matches!(outcome, LineOutcome::Shutdown) {
-        *saw_shutdown = true;
+fn encode_response(binary: bool, response: &str, out: &mut Vec<u8>) {
+    if binary {
+        crate::frame::encode_reply(response, out);
+    } else {
+        out.extend_from_slice(response.as_bytes());
+        out.push(b'\n');
     }
 }
 
@@ -2434,53 +2458,55 @@ mod tests {
     fn shutdown_drains_even_when_a_client_stops_reading() {
         use std::os::unix::net::UnixStream;
 
-        let path = k5_path("k5_noread.txt");
-        let sock = std::env::temp_dir().join("dsg_engine_serve_tests/noread.sock");
-        let _ = std::fs::remove_file(&sock);
-        let sock_for_server = sock.clone();
-        let server = std::thread::spawn(move || {
-            let engine = Engine::new();
-            serve_unix(
-                &engine,
-                &ResourcePolicy::default(),
-                &sock_for_server,
-                &ServeOptions {
-                    workers: 2,
-                    max_connections: 4,
-                    shards: 1,
-                    ..ServeOptions::default()
-                },
+        for shards in [1usize, 2] {
+            let path = k5_path("k5_noread.txt");
+            let sock = std::env::temp_dir().join("dsg_engine_serve_tests/noread.sock");
+            let _ = std::fs::remove_file(&sock);
+            let sock_for_server = sock.clone();
+            let server = std::thread::spawn(move || {
+                let engine = Engine::new();
+                serve_unix(
+                    &engine,
+                    &ResourcePolicy::default(),
+                    &sock_for_server,
+                    &ServeOptions {
+                        workers: 2,
+                        max_connections: 4,
+                        shards,
+                        ..ServeOptions::default()
+                    },
+                )
+                .unwrap()
+            });
+            wait_for_socket(&sock);
+            // A client that pipelines thousands of requests but never reads
+            // fills the socket's send buffer; the worker writing responses
+            // must not block shutdown forever.
+            let mut rude = UnixStream::connect(&sock).unwrap();
+            // Bound the rude client's own sends too: once the server stops
+            // reading (because its writes to us are blocked), our write
+            // would otherwise hang this test thread as well.
+            rude.set_write_timeout(Some(std::time::Duration::from_millis(200)))
+                .unwrap();
+            let request = format!(
+                "{{\"id\":1,\"algorithm\":\"charikar\",\"file\":\"{}\"}}\n",
+                path.display()
+            );
+            let burst = request.repeat(4000);
+            let _ = rude.write_all(burst.as_bytes());
+            // Keep the rude connection open (unread) across the shutdown.
+            let mut out = Vec::new();
+            client_unix(
+                &sock,
+                Cursor::new("{\"op\":\"shutdown\"}\n".to_string()),
+                &mut out,
             )
-            .unwrap()
-        });
-        wait_for_socket(&sock);
-        // A client that pipelines thousands of requests but never reads
-        // fills the socket's send buffer; the worker writing responses
-        // must not block shutdown forever.
-        let mut rude = UnixStream::connect(&sock).unwrap();
-        // Bound the rude client's own sends too: once the server stops
-        // reading (because its writes to us are blocked), our write
-        // would otherwise hang this test thread as well.
-        rude.set_write_timeout(Some(std::time::Duration::from_millis(200)))
             .unwrap();
-        let request = format!(
-            "{{\"id\":1,\"algorithm\":\"charikar\",\"file\":\"{}\"}}\n",
-            path.display()
-        );
-        let burst = request.repeat(4000);
-        let _ = rude.write_all(burst.as_bytes());
-        // Keep the rude connection open (unread) across the shutdown.
-        let mut out = Vec::new();
-        client_unix(
-            &sock,
-            Cursor::new("{\"op\":\"shutdown\"}\n".to_string()),
-            &mut out,
-        )
-        .unwrap();
-        let summary = server.join().unwrap();
-        assert!(summary.shutdown);
-        drop(rude);
-        assert!(!sock.exists());
+            let summary = server.join().unwrap();
+            assert!(summary.shutdown);
+            drop(rude);
+            assert!(!sock.exists());
+        }
     }
 
     /// Drops the nondeterministic trailing `elapsed_ms` field so
@@ -2691,62 +2717,72 @@ mod tests {
         use std::io::Read;
         use std::os::unix::net::UnixStream;
 
-        let (server_side, client_side) = UnixStream::pair().unwrap();
-        server_side.set_nonblocking(true).unwrap();
-        // The peer actively reads everything — the condition under
-        // which a flush can fully drain the backlog.
-        let reader = std::thread::spawn(move || {
-            let mut client_side = client_side;
-            let mut all = Vec::new();
-            let mut chunk = [0u8; 1 << 16];
-            loop {
-                match client_side.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => all.extend_from_slice(&chunk[..n]),
-                    Err(_) => break,
+        for shards in [1usize, 2] {
+            let (server_side, client_side) = UnixStream::pair().unwrap();
+            server_side.set_nonblocking(true).unwrap();
+            // The peer actively reads everything — the condition under
+            // which a flush can fully drain the backlog.
+            let reader = std::thread::spawn(move || {
+                let mut client_side = client_side;
+                let mut all = Vec::new();
+                let mut chunk = [0u8; 1 << 16];
+                loop {
+                    match client_side.read(&mut chunk) {
+                        Ok(0) => break,
+                        Ok(n) => all.extend_from_slice(&chunk[..n]),
+                        Err(_) => break,
+                    }
                 }
-            }
-            all
-        });
-        let mut conn = Connection::new(server_side);
-        // A previous turn left the write buffer at the high-water mark:
-        // this turn starts backlogged, exactly like a POLLOUT wake.
-        conn.wbuf = vec![b'#'; WRITE_HWM];
-        // Two complete requests already buffered; the client will never
-        // send another byte.
-        conn.rbuf = b"{\"op\":\"stats\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n".to_vec();
-        let engine = Engine::new();
-        let mut scratch = minijson::FieldScratch::new();
-        let mut saw_shutdown = false;
-        conn.service(
-            false,
-            &engine,
-            &ResourcePolicy::default(),
-            &ServeMetrics::new(),
-            &mut scratch,
-            &mut saw_shutdown,
-        );
-        assert!(!conn.dead);
-        assert!(!saw_shutdown);
-        assert!(
-            conn.rbuf.is_empty(),
-            "buffered requests must be answered in the same turn, not stranded"
-        );
-        // Let the replies still in flight reach the peer, then close.
-        while conn.pending_write() > 0 {
-            conn.flush();
+                all
+            });
+            let mut conn = Connection::new(server_side);
+            // A previous turn left the write buffer at the high-water
+            // mark: this turn starts backlogged, exactly like a POLLOUT
+            // wake.
+            conn.wbuf = vec![b'#'; WRITE_HWM];
+            // Two complete requests already buffered; the client will
+            // never send another byte.
+            conn.rbuf = b"{\"op\":\"stats\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n".to_vec();
+            let engine = Engine::new();
+            let options = ServeOptions {
+                shards,
+                ..ServeOptions::default()
+            };
+            let runtime =
+                ShardRuntime::new(&engine, &options, crate::shard::SHARD_QUEUE_CAP).unwrap();
+            let (pool, _accept_rx, _loop_rx) = Pool::new(1, 1).unwrap();
+            let ctx = LoopCtx {
+                runtime: &runtime,
+                policy: &ResourcePolicy::default(),
+                metrics: &ServeMetrics::new(),
+                pool: &pool,
+                worker: 0,
+            };
+            let mut scratch = minijson::FieldScratch::new();
+            let mut saw_shutdown = false;
+            conn.service(&ctx, 0, &mut scratch, &mut saw_shutdown);
             assert!(!conn.dead);
-            // Test-only: yield to the reader thread between flushes.
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            assert!(!saw_shutdown);
+            assert!(
+                conn.rbuf.is_empty(),
+                "buffered requests must be answered in the same turn, not stranded"
+            );
+            // Let the replies still in flight reach the peer, then close.
+            while conn.pending_write() > 0 {
+                conn.flush();
+                assert!(!conn.dead);
+                // Test-only: yield to the reader thread between flushes.
+                #[allow(clippy::disallowed_methods)]
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            drop(conn);
+            let received = reader.join().unwrap();
+            let replies = String::from_utf8(received[WRITE_HWM..].to_vec()).unwrap();
+            let lines: Vec<&str> = replies.lines().collect();
+            assert_eq!(lines.len(), 2, "{replies}");
+            assert_eq!(field(lines[0], "id"), "1");
+            assert_eq!(field(lines[1], "id"), "2");
         }
-        drop(conn);
-        let received = reader.join().unwrap();
-        let replies = String::from_utf8(received[WRITE_HWM..].to_vec()).unwrap();
-        let lines: Vec<&str> = replies.lines().collect();
-        assert_eq!(lines.len(), 2, "{replies}");
-        assert_eq!(field(lines[0], "id"), "1");
-        assert_eq!(field(lines[1], "id"), "2");
     }
 
     /// Regression: an unbounded JSONL `--pipeline` burst whose bytes
@@ -2758,34 +2794,42 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn huge_jsonl_pipeline_window_does_not_deadlock() {
-        let (sock, server) = spawn_server("jsonl_huge_window.sock", ServeOptions::default());
-        let n = 8000usize;
-        let pad = "x".repeat(180);
-        let requests: String = (0..n)
-            .map(|i| format!("{{\"op\":\"stats\",\"id\":{i},\"pad\":\"{pad}\"}}\n"))
-            .chain(std::iter::once(
-                "{\"op\":\"shutdown\",\"id\":\"bye\"}\n".to_string(),
-            ))
-            .collect();
-        let mut out = Vec::new();
-        let stats = client_unix_opts(
-            &sock,
-            Cursor::new(requests),
-            &mut out,
-            &ClientOptions {
-                binary: false,
-                pipeline: n + 1,
-            },
-        )
-        .unwrap();
-        let summary = server.join().unwrap();
-        assert_eq!(stats.exchanges as usize, n + 1);
-        assert!(summary.shutdown);
-        let out = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), n + 1);
-        assert_eq!(field(lines[0], "id"), "0");
-        assert_eq!(field(lines[n], "id"), "\"bye\"");
+        for shards in [1usize, 2] {
+            let (sock, server) = spawn_server(
+                &format!("jsonl_huge_window{shards}.sock"),
+                ServeOptions {
+                    shards,
+                    ..ServeOptions::default()
+                },
+            );
+            let n = 8000usize;
+            let pad = "x".repeat(180);
+            let requests: String = (0..n)
+                .map(|i| format!("{{\"op\":\"stats\",\"id\":{i},\"pad\":\"{pad}\"}}\n"))
+                .chain(std::iter::once(
+                    "{\"op\":\"shutdown\",\"id\":\"bye\"}\n".to_string(),
+                ))
+                .collect();
+            let mut out = Vec::new();
+            let stats = client_unix_opts(
+                &sock,
+                Cursor::new(requests),
+                &mut out,
+                &ClientOptions {
+                    binary: false,
+                    pipeline: n + 1,
+                },
+            )
+            .unwrap();
+            let summary = server.join().unwrap();
+            assert_eq!(stats.exchanges as usize, n + 1);
+            assert!(summary.shutdown);
+            let out = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), n + 1);
+            assert_eq!(field(lines[0], "id"), "0");
+            assert_eq!(field(lines[n], "id"), "\"bye\"");
+        }
     }
 
     /// With many idle connections parked, a graceful shutdown must
@@ -2839,49 +2883,57 @@ mod tests {
         use std::io::Read;
         use std::os::unix::net::UnixStream;
 
-        let (sock, server) = spawn_server("hostile.sock", ServeOptions::default());
-        // Bad version byte right after a valid magic.
-        {
-            let mut conn = UnixStream::connect(&sock).unwrap();
-            conn.write_all(&[crate::frame::MAGIC, 99, 1, 0, 0, 0, 0, 0])
-                .unwrap();
-            conn.flush().unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut reply = Vec::new();
-            read_reply_frame(&mut reader, &mut reply).unwrap();
-            let reply = String::from_utf8(reply).unwrap();
-            assert_eq!(field(&reply, "ok"), "false");
-            assert!(reply.contains("unsupported frame version"), "{reply}");
-            // Then EOF: the poisoned connection is closed.
-            let mut rest = Vec::new();
-            assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+        for shards in [1usize, 2] {
+            let (sock, server) = spawn_server(
+                &format!("hostile{shards}.sock"),
+                ServeOptions {
+                    shards,
+                    ..ServeOptions::default()
+                },
+            );
+            // Bad version byte right after a valid magic.
+            {
+                let mut conn = UnixStream::connect(&sock).unwrap();
+                conn.write_all(&[crate::frame::MAGIC, 99, 1, 0, 0, 0, 0, 0])
+                    .unwrap();
+                conn.flush().unwrap();
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                let mut reply = Vec::new();
+                read_reply_frame(&mut reader, &mut reply).unwrap();
+                let reply = String::from_utf8(reply).unwrap();
+                assert_eq!(field(&reply, "ok"), "false");
+                assert!(reply.contains("unsupported frame version"), "{reply}");
+                // Then EOF: the poisoned connection is closed.
+                let mut rest = Vec::new();
+                assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+            }
+            // An oversized length prefix is rejected before any allocation.
+            {
+                let mut conn = UnixStream::connect(&sock).unwrap();
+                let mut hostile = vec![crate::frame::MAGIC, crate::frame::VERSION, 0x01, 0];
+                hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+                conn.write_all(&hostile).unwrap();
+                conn.flush().unwrap();
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                let mut reply = Vec::new();
+                read_reply_frame(&mut reader, &mut reply).unwrap();
+                let reply = String::from_utf8(reply).unwrap();
+                assert!(reply.contains("exceeds the"), "{reply}");
+            }
+            // The server still serves a well-behaved client afterwards.
+            let mut out = Vec::new();
+            client_unix(
+                &sock,
+                Cursor::new("{\"op\":\"stats\",\"id\":1}\n{\"op\":\"shutdown\"}\n".to_string()),
+                &mut out,
+            )
+            .unwrap();
+            let out = String::from_utf8(out).unwrap();
+            assert_eq!(field(out.lines().next().unwrap(), "ok"), "true");
+            let summary = server.join().unwrap();
+            assert!(summary.shutdown);
+            assert_eq!(summary.errors, 2, "one typed error per hostile frame");
         }
-        // An oversized length prefix is rejected before any allocation.
-        {
-            let mut conn = UnixStream::connect(&sock).unwrap();
-            let mut hostile = vec![crate::frame::MAGIC, crate::frame::VERSION, 0x01, 0];
-            hostile.extend_from_slice(&u32::MAX.to_le_bytes());
-            conn.write_all(&hostile).unwrap();
-            conn.flush().unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut reply = Vec::new();
-            read_reply_frame(&mut reader, &mut reply).unwrap();
-            let reply = String::from_utf8(reply).unwrap();
-            assert!(reply.contains("exceeds the"), "{reply}");
-        }
-        // The server still serves a well-behaved client afterwards.
-        let mut out = Vec::new();
-        client_unix(
-            &sock,
-            Cursor::new("{\"op\":\"stats\",\"id\":1}\n{\"op\":\"shutdown\"}\n".to_string()),
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert_eq!(field(out.lines().next().unwrap(), "ok"), "true");
-        let summary = server.join().unwrap();
-        assert!(summary.shutdown);
-        assert_eq!(summary.errors, 2, "one typed error per hostile frame");
     }
 
     #[test]

@@ -1,29 +1,38 @@
-//! Sharded serving: N independent engines behind one socket.
+//! Engine shards: the far side of the serving loop's one seam.
 //!
-//! With `ServeOptions::shards > 1` the Unix-socket server splits into a
-//! **front router** and N **engine shards**:
+//! The socket server ([`crate::serve`]) is one accept thread plus
+//! `workers` event loops. The event loops own every connection and its
+//! buffers, and decode every request. After decoding, the shard count
+//! decides exactly one thing, where the request goes:
+//!
+//! * **One shard:** the event loop answers it in the same turn, straight
+//!   from its parse scratch, with the engine `serve_unix` was handed.
+//!   There is no queue, no executor thread and no copy of the request.
+//! * **N shards:** the request joins a *run* on its connection and the
+//!   run crosses to one of N engines over a bounded queue. That shard's
+//!   executor threads answer the run and mail the replies back.
 //!
 //! ```text
 //!                        ┌──────────────┐
-//!   accept thread ──────▶│ router worker│──┐
-//!   (one, shared)        │ event loops  │  │ bounded per-shard queue
-//!                        │ (all conn    │  ▼
-//!                        │  I/O lives   │ ┌─────────────────────────┐
-//!                        │  here)       │ │ shard 0: Engine+catalog │
-//!                        │              │ │ + result cache + warm/  │
-//!                        │  hash-route  │ │ incremental state, own  │
-//!                        │  by graph    │ │ executor pool           │
-//!                        │  identity ───┼▶├─────────────────────────┤
+//!   accept thread ──────▶│ event loops  │──┐
+//!   (one, shared)        │ (all conn    │  │ bounded per-shard queue
+//!                        │  I/O lives   │  ▼     (N shards only)
+//!                        │  here)       │ ┌─────────────────────────┐
+//!                        │              │ │ shard 0: Engine+catalog │
+//!                        │  decode, then│ │ + result cache + warm/  │
+//!                        │  answer now  │ │ incremental state, own  │
+//!                        │  (1 shard) or│ │ executor pool           │
+//!                        │  hash-route ─┼▶├─────────────────────────┤
 //!                        │              │ │ shard 1: …              │
 //!                        └──────▲───────┘ └───────────┬─────────────┘
 //!                               └── completion mailbox┘
 //! ```
 //!
 //! * Each shard owns a full [`Engine`] — its own [`GraphCatalog`],
-//!   [`ResultCache`], and warm-seed/incremental state — served by its
-//!   own executor pool. Shards share **nothing**: no lock is ever taken
-//!   by more than one shard, so one shard's slow query or contended
-//!   session never stalls another shard's throughput.
+//!   [`ResultCache`], and warm-seed/incremental state. Shards share
+//!   **nothing**: no lock is ever taken by more than one shard, so one
+//!   shard's slow query or contended session never stalls another
+//!   shard's throughput.
 //! * The routing rule is pure and stable: FNV-1a over the request's
 //!   graph identity (`"g:" + name` for session graphs, `"f:" + path`
 //!   for file graphs), mod the shard count. Every `create_graph`,
@@ -31,48 +40,39 @@
 //!   the same shard, which is what keeps all per-session invariants
 //!   (version monotonicity, warm restarts, incremental re-peeling) of
 //!   the single-engine server valid per-shard, unchanged.
-//! * The router owns every connection and its buffers. Requests cross
-//!   to a shard over a bounded queue (`ShardQueue`); replies come
-//!   back pre-encoded through a per-router-worker completion mailbox.
-//!   A full queue parks the *connection* (the job is retried once the
-//!   shard drains), never the router thread — backpressure is
+//! * A full queue parks the *connection* (the run is retried once the
+//!   shard drains), never the event loop — backpressure is
 //!   per-connection, exactly like the write high-water mark.
-//! * The unit of dispatch is a **run**: the longest prefix of a
-//!   connection's decoded requests that all route to the same shard
-//!   (ending before a `stats`/`shutdown`, a malformed item, or the
-//!   first request homed elsewhere; at most `MAX_RUN` long). A run
-//!   crosses as one job; the shard executes its requests strictly in
-//!   order and mails all their replies back as one completion, so a
-//!   pipelined batch pays one queue push, one wake and one socket
-//!   write instead of one per request. A run never waits for input
-//!   that has not arrived.
+//! * A **run** is the longest prefix of a connection's decoded requests
+//!   that all route to the same shard (ending before a `stats`/`shutdown`,
+//!   a malformed item, or the first request homed elsewhere; at most
+//!   `MAX_RUN` long). The shard executes its requests strictly in order
+//!   and mails all their replies back as one completion, so a pipelined
+//!   batch pays one queue push, one wake and one socket write instead of
+//!   one per request. A run never waits for input that has not arrived.
 //! * Dispatch is **serial per connection**: one run in flight at a
 //!   time, so responses come back in request order on every connection
 //!   and a 1-shard and an N-shard server answer the same single-client
 //!   transcript with byte-identical response *content* (`elapsed_ms`
 //!   differs per run; `loads` counts per-shard catalog loads).
-//! * `stats` and `shutdown` never reach a shard: the router answers
-//!   `stats` by scatter/gathering every shard's counters into the flat
-//!   single-engine schema (fields summed, `named` arrays concatenated
-//!   in shard order) plus a trailing `"shards"` per-shard breakdown
-//!   array, and `shutdown` latches the global stop flag directly.
+//! * `stats` and `shutdown` never reach a shard: the event loop answers
+//!   them in their turn. `stats` sums every shard's counters into the
+//!   flat single-engine schema (`named` arrays concatenated in shard
+//!   order) and, with more than one shard, appends a `"shards"`
+//!   per-shard breakdown array.
 //!
 //! [`GraphCatalog`]: crate::GraphCatalog
 //! [`ResultCache`]: crate::ResultCache
 
 use std::collections::VecDeque;
-use std::os::fd::AsRawFd;
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::minijson::{self, Value};
-use crate::readiness::{poll_fds, wake_pair, PollFd, WakeReceiver, POLLIN, POLLOUT};
 use crate::report::JsonBuilder;
-use crate::serve::{
-    accept_next, error_response, handle_fields, ConnGate, Connection, LineOutcome, ServeMetrics,
-    ServeOptions, ServeSummary, WireMode, READ_CHUNK,
-};
+#[cfg(unix)]
+use crate::serve::{answer, Connection, LoopCtx, Pool};
+use crate::serve::{ServeMetrics, ServeOptions, ServeSummary};
 use crate::{Engine, ResourcePolicy};
 
 /// Bound of each shard's request queue. Small on purpose: the queue is
@@ -109,19 +109,20 @@ pub fn routing_shard(graph: Option<&str>, file: Option<&str>, shards: usize) -> 
 /// write high-water mark that gates the next dispatch.
 const MAX_RUN: usize = 64;
 
-/// One decoded request. `op` is the opcode-carried op for binary
-/// requests; JSONL requests resolve the op from their fields, exactly
-/// like [`handle_fields`].
-struct Request {
+/// One decoded request, owned so it can wait on its connection and
+/// cross to a shard. `op` is the opcode-carried op for binary requests;
+/// JSONL requests resolve the op from their fields, exactly like
+/// [`crate::serve::handle_fields`].
+pub(crate) struct Request {
     op: Option<&'static str>,
     fields: Vec<(String, Value)>,
 }
 
-/// One run crossing from the router to a shard. `worker`/`slot`/`gen`
+/// One run crossing from an event loop to a shard. `worker`/`slot`/`gen`
 /// address the owning connection so the completion finds its way back
 /// (and is dropped if the connection died and its slot was reused —
 /// the generation check).
-struct ShardJob {
+pub(crate) struct ShardJob {
     worker: usize,
     slot: usize,
     gen: u64,
@@ -132,9 +133,9 @@ struct ShardJob {
 }
 
 /// A finished run's pre-encoded replies, concatenated in request order
-/// and homed to `(slot, gen)` on the router worker that owns the
+/// and homed to `(slot, gen)` on the event loop that owns the
 /// connection.
-struct Completion {
+pub(crate) struct Completion {
     slot: usize,
     gen: u64,
     bytes: Vec<u8>,
@@ -142,15 +143,15 @@ struct Completion {
 
 struct QueueState {
     jobs: VecDeque<ShardJob>,
-    /// Router workers that hit the bound and parked a connection; the
+    /// Event loops that hit the bound and parked a connection; the
     /// executor wakes them as soon as it pops (capacity freed).
     stalled: Vec<usize>,
 }
 
-/// The bounded SPSC-style handoff queue in front of one shard. The
-/// router side never blocks: a push against a full queue fails and the
-/// connection parks. The executor side blocks on `ready` until a job
-/// or shutdown arrives.
+/// The bounded handoff queue in front of one shard. The event-loop side
+/// never blocks: a push against a full queue fails and the connection
+/// parks. The executor side blocks on `ready` until a job or shutdown
+/// arrives.
 struct ShardQueue {
     backlog: Mutex<QueueState>,
     ready: Condvar,
@@ -186,8 +187,8 @@ impl ShardQueue {
     }
 
     /// Blocking pop; `None` once shutdown latches and the queue is
-    /// drained. Also returns the stalled router workers to wake now
-    /// that a slot is free.
+    /// drained. Also returns the stalled event loops to wake now that a
+    /// slot is free.
     fn pop(&self, metrics: &ServeMetrics) -> Option<(ShardJob, Vec<usize>)> {
         let mut state = self.backlog.lock().expect("shard queue poisoned");
         loop {
@@ -266,9 +267,15 @@ impl HoldGate {
 
 /// Everything per-shard: the engines, their queues, per-shard serve
 /// metrics (queries/mutations/errors executed there), and the routed
-/// counter (requests the router sent there).
-pub(crate) struct ShardRuntime {
-    engines: Vec<Engine>,
+/// counter (requests sent there over its queue).
+pub(crate) struct ShardRuntime<'a> {
+    /// The engine the server was handed. With one shard it *is* shard
+    /// 0; with more it only donates its tuning to `owned`.
+    template: &'a Engine,
+    /// The per-shard engines of an N-shard server (empty at one shard).
+    owned: Vec<Engine>,
+    /// One queue per owned engine: empty at one shard, where every
+    /// request is answered on its event loop.
     queues: Vec<ShardQueue>,
     shard_metrics: Vec<ServeMetrics>,
     routed: Vec<AtomicU64>,
@@ -276,47 +283,262 @@ pub(crate) struct ShardRuntime {
     holds: Vec<HoldGate>,
 }
 
-impl ShardRuntime {
-    /// Builds `shards` engines, each tuned like `template` (the engine
-    /// the caller configured via CLI flags before serving). With a data
-    /// dir in `options`, each shard opens its own `shard-<i>`
-    /// subdirectory — WAL and snapshot files are as shard-private as
-    /// the locks are, so durability adds no cross-shard contention.
+impl<'a> ShardRuntime<'a> {
+    /// The shards of a server running `options.shards` engines. One
+    /// shard serves with `engine` itself, so the caller's tuning and
+    /// any state it inspects after serving are the served engine's.
+    /// More shards get fresh engines tuned like `engine`. With a data
+    /// dir in `options`, shard `i` opens its own `shard-<i>`
+    /// subdirectory (unless its engine is durable already) — WAL and
+    /// snapshot files are as shard-private as the locks are, so
+    /// durability adds no cross-shard contention.
     pub(crate) fn new(
-        template: &Engine,
+        engine: &'a Engine,
         options: &ServeOptions,
         queue_cap: usize,
     ) -> std::io::Result<Self> {
         let shards = options.shards.max(1);
-        let engines = (0..shards)
-            .map(|i| shard_engine(template, options, i))
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(ShardRuntime {
-            engines,
-            queues: (0..shards).map(|_| ShardQueue::new(queue_cap)).collect(),
+        let owned: Vec<Engine> = if shards > 1 {
+            (0..shards).map(|_| shard_engine(engine)).collect()
+        } else {
+            Vec::new()
+        };
+        let runtime = ShardRuntime {
+            template: engine,
+            queues: owned.iter().map(|_| ShardQueue::new(queue_cap)).collect(),
+            owned,
             shard_metrics: (0..shards).map(|_| ServeMetrics::new()).collect(),
             routed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(test)]
             holds: (0..shards).map(|_| HoldGate::new()).collect(),
-        })
+        };
+        if let Some(dir) = &options.data_dir {
+            // Graphs recover on the shard whose directory they were
+            // written to; restarting with a different `--shards` count
+            // strands them on dirs routing no longer hashes to
+            // (documented — shard rebalancing is a ROADMAP item).
+            for (index, engine) in runtime.engines().iter().enumerate() {
+                if engine.catalog().is_durable() {
+                    continue;
+                }
+                engine
+                    .catalog()
+                    .open_data_dir(
+                        &dir.join(format!("shard-{index}")),
+                        options.fsync_every,
+                        options.snapshot_every,
+                    )
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+            }
+        }
+        Ok(runtime)
     }
 
     #[cfg(test)]
     pub(crate) fn hold(&self, shard: usize) -> &HoldGate {
         &self.holds[shard]
     }
+
+    /// The shard engines, in shard order.
+    pub(crate) fn engines(&self) -> &[Engine] {
+        if self.owned.is_empty() {
+            std::slice::from_ref(self.template)
+        } else {
+            &self.owned
+        }
+    }
+
+    /// Whether requests are answered on the event loop that decoded
+    /// them: true exactly when there is one shard (and so no queue).
+    pub(crate) fn inline(&self) -> bool {
+        self.queues.is_empty()
+    }
+
+    /// The request counters of shard `shard`.
+    pub(crate) fn shard_metrics(&self, shard: usize) -> &ServeMetrics {
+        &self.shard_metrics[shard]
+    }
+
+    /// Shards with a queue, and so with executor threads to run.
+    #[cfg(unix)]
+    pub(crate) fn queued_shards(&self) -> std::ops::Range<usize> {
+        0..self.queues.len()
+    }
+
+    /// Wakes every executor so it can observe the shutdown latch.
+    #[cfg(unix)]
+    pub(crate) fn wake_executors(&self) {
+        for queue in &self.queues {
+            queue.poke();
+        }
+    }
+
+    /// The run's [`ServeSummary`]: connection accounting and
+    /// event-loop-side errors from `metrics`, request counts and
+    /// incremental-tier counters summed over the shards.
+    pub(crate) fn summary(&self, metrics: &ServeMetrics) -> ServeSummary {
+        let mut summary = metrics.summary();
+        for shard in &self.shard_metrics {
+            let (queries, mutations, errors) = shard.op_counts();
+            summary.queries += queries;
+            summary.mutations += mutations;
+            summary.errors += errors;
+        }
+        for engine in self.engines() {
+            let inc = engine.incremental_stats();
+            summary.incremental_hits += inc.hits;
+            summary.incremental_fallbacks += inc.fallbacks;
+        }
+        summary
+    }
+
+    /// Appends the `stats` reply fields to `j`: every flat counter
+    /// summed over the shards, the connection accounting of `metrics`,
+    /// the session graphs of every shard in shard order, and — with
+    /// more than one shard — a `"shards"` breakdown whose per-shard
+    /// rows are the observable proof of isolation: each shard's
+    /// loads/queries/mutations moved only when requests routed to it.
+    pub(crate) fn render_stats(&self, metrics: &ServeMetrics, j: &mut JsonBuilder) {
+        let mut sums = [0u64; FLAT_COUNTERS.len()];
+        let mut named: Vec<String> = Vec::new();
+        for engine in self.engines() {
+            for (sum, value) in sums.iter_mut().zip(flat_counters(engine)) {
+                *sum += value;
+            }
+            named.extend(engine.catalog().named_stats().iter().map(named_json));
+        }
+        let (engine_side, session_side) = FLAT_COUNTERS.split_at(CONN_FIELDS_AT);
+        let (engine_sums, session_sums) = sums.split_at(CONN_FIELDS_AT);
+        for (name, value) in engine_side.iter().zip(engine_sums) {
+            j.num_field(name, *value as f64);
+        }
+        j.num_field("conn_active", metrics.active_connections() as f64);
+        j.num_field("conn_peak", metrics.peak_connections() as f64);
+        for (name, value) in session_side.iter().zip(session_sums) {
+            j.num_field(name, *value as f64);
+        }
+        // Per-session-graph accounting, after the flat fields so those
+        // stay trivially greppable — and only when at least one session
+        // graph exists, so the reply of a session-less server stays a
+        // flat object that the minijson request parser itself could
+        // read (the throughput experiment and older clients rely on
+        // that).
+        if !named.is_empty() {
+            j.raw_field("named", &format!("[{}]", named.join(",")));
+        }
+        if self.inline() {
+            return;
+        }
+        let rows: Vec<String> = self
+            .engines()
+            .iter()
+            .enumerate()
+            .map(|(index, engine)| {
+                let (queries, mutations, errors) = self.shard_metrics[index].op_counts();
+                let mut row = JsonBuilder::new();
+                row.num_field("shard", index as f64);
+                row.num_field("routed", self.routed[index].load(Ordering::Relaxed) as f64);
+                row.num_field("queries", queries as f64);
+                row.num_field("mutations", mutations as f64);
+                row.num_field("errors", errors as f64);
+                row.num_field("loads", engine.catalog().stats().loads as f64);
+                row.num_field("graphs", engine.catalog().len() as f64);
+                row.num_field("graphs_named", engine.catalog().named_len() as f64);
+                row.finish()
+            })
+            .collect();
+        j.raw_field("shards", &format!("[{}]", rows.join(",")));
+    }
+}
+
+/// The flat `stats` counters, in reply order; the connection fields
+/// (`conn_active`, `conn_peak`) go between the first `CONN_FIELDS_AT`
+/// and the rest.
+const FLAT_COUNTERS: [&str; 19] = [
+    "loads",
+    "hits",
+    "stat_scans",
+    "evictions",
+    "graphs",
+    "result_hits",
+    "result_misses",
+    "result_insertions",
+    "result_evictions",
+    "result_entries",
+    "result_bytes",
+    "mutations",
+    "graphs_named",
+    "warm_hits",
+    "warm_fallbacks",
+    "incremental_hits",
+    "incremental_fallbacks",
+    // Startup-recovery counters (zero on a non-durable server): the
+    // crash-recovery CI lane asserts on these structured fields instead
+    // of grepping server logs.
+    "replayed_ops",
+    "dropped_tail_records",
+];
+
+const CONN_FIELDS_AT: usize = 11;
+
+/// One engine's values of [`FLAT_COUNTERS`], in the same order.
+fn flat_counters(engine: &Engine) -> [u64; FLAT_COUNTERS.len()] {
+    let catalog = engine.catalog();
+    let stats = catalog.stats();
+    let results = engine.results().stats();
+    let warm = engine.warm_stats();
+    let inc = engine.incremental_stats();
+    let (replayed, dropped) = catalog.recovery_counters();
+    [
+        stats.loads,
+        stats.hits,
+        stats.stat_scans,
+        stats.evictions,
+        catalog.len() as u64,
+        results.hits,
+        results.misses,
+        results.insertions,
+        results.evictions,
+        results.entries,
+        results.bytes,
+        catalog.mutations(),
+        catalog.named_len() as u64,
+        warm.hits,
+        warm.fallbacks,
+        inc.hits,
+        inc.fallbacks,
+        replayed,
+        dropped,
+    ]
+}
+
+/// One session graph's object in the `stats` reply's `named` array.
+fn named_json(g: &crate::NamedGraphStats) -> String {
+    let mut item = JsonBuilder::new();
+    item.str_field("name", &g.name);
+    item.num_field("version", g.version as f64);
+    item.num_field("nodes", g.nodes as f64);
+    item.num_field("edges", g.edges as f64);
+    item.num_field("delta_edges", g.delta_edges as f64);
+    item.num_field("compactions", g.compactions as f64);
+    item.num_field("warm_hits", g.warm_hits as f64);
+    item.num_field("warm_fallbacks", g.warm_fallbacks as f64);
+    item.num_field("incremental_hits", g.incremental_hits as f64);
+    item.num_field("incremental_fallbacks", g.incremental_fallbacks as f64);
+    item.num_field("wal_bytes", g.wal_bytes as f64);
+    item.num_field("snapshot_version", g.snapshot_version as f64);
+    item.num_field("last_fsync", g.last_fsync as f64);
+    item.num_field("replayed_ops", g.replayed_ops as f64);
+    item.num_field("dropped_tail_records", g.dropped_tail_records as f64);
+    item.finish()
 }
 
 /// A fresh engine stamped with `template`'s tuning — every knob the
 /// serve CLI exposes is copied so an N-shard server behaves like N
-/// independently configured 1-shard servers. Tuning is copied before
-/// the data dir opens so recovery replays under the configured
-/// compaction ratio.
-fn shard_engine(
-    template: &Engine,
-    options: &ServeOptions,
-    index: usize,
-) -> std::io::Result<Engine> {
+/// independently configured 1-shard servers. [`ShardRuntime::new`]
+/// opens the data dirs only after every engine is tuned, so recovery
+/// replays under the configured compaction ratio.
+fn shard_engine(template: &Engine) -> Engine {
     let engine = Engine::new();
     engine
         .catalog()
@@ -328,240 +550,20 @@ fn shard_engine(
     engine.set_warm_threshold(template.warm_threshold());
     engine.set_incremental_threshold(template.incremental_threshold());
     engine.set_mapreduce_spill(template.mapreduce_spill());
-    if let Some(dir) = &options.data_dir {
-        // Graphs recover on the shard whose directory they were written
-        // to; restarting with a different `--shards` count strands them
-        // on dirs the router no longer hashes to (documented — shard
-        // rebalancing is a ROADMAP item).
-        engine
-            .catalog()
-            .open_data_dir(
-                &dir.join(format!("shard-{index}")),
-                options.fsync_every,
-                options.snapshot_every,
-            )
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-    }
-    Ok(engine)
-}
-
-/// One router worker's shared mailboxes: accepted connections in,
-/// completions back from the shards. One waker covers both.
-struct RouterSlot {
-    arrivals: Mutex<Vec<UnixStream>>,
-    completions: Mutex<Vec<Completion>>,
-    waker: crate::readiness::Waker,
-}
-
-/// Everything the accept thread, router workers, and executors share
-/// besides the runtime and metrics.
-struct RouterShared {
-    slots: Vec<RouterSlot>,
-    accept_waker: crate::readiness::Waker,
-    gate: ConnGate,
-}
-
-impl RouterShared {
-    /// Wakes every parked thread — router loops, the accept thread, the
-    /// gate, and each shard's executors — once shutdown latches.
-    fn wake_all(&self, runtime: &ShardRuntime) {
-        for slot in &self.slots {
-            slot.waker.wake();
-        }
-        self.accept_waker.wake();
-        self.gate.poke();
-        for queue in &runtime.queues {
-            queue.poke();
-        }
-    }
-}
-
-/// A queued piece of work extracted from a connection's read buffer,
-/// dispatched strictly in order.
-enum PendingItem {
-    /// A request homed to shard `shard` by [`routing_shard`].
-    Routed { shard: usize, request: Request },
-    /// `stats` or `shutdown`: concerns the whole server, so the router
-    /// answers it inline.
-    Inline { shutdown: bool, request: Request },
-    /// A pre-encoded error reply: a per-request decode error (the
-    /// stream stays synchronized), or frame-level damage (the
-    /// connection closes after it; its input was already discarded at
-    /// extraction).
-    Error { bytes: Vec<u8> },
-}
-
-impl PendingItem {
-    /// Classifies a decoded request by where it is answered.
-    fn request(request: Request, shards: usize) -> Self {
-        let op = request
-            .op
-            .or_else(|| minijson::get(&request.fields, "op").and_then(Value::as_str));
-        match op {
-            Some("stats") => PendingItem::Inline {
-                shutdown: false,
-                request,
-            },
-            Some("shutdown") => PendingItem::Inline {
-                shutdown: true,
-                request,
-            },
-            _ => {
-                let graph = minijson::get(&request.fields, "graph").and_then(Value::as_str);
-                let file = minijson::get(&request.fields, "file").and_then(Value::as_str);
-                PendingItem::Routed {
-                    shard: routing_shard(graph, file, shards),
-                    request,
-                }
-            }
-        }
-    }
-}
-
-/// One connection owned by a router worker. `gen` disambiguates slab
-/// slot reuse; `parked` holds a run bounced off a full shard queue;
-/// `due` marks the connection for a service pass this loop turn.
-struct RouterConn {
-    conn: Connection,
-    gen: u64,
-    pending: VecDeque<PendingItem>,
-    parked: Option<(usize, ShardJob)>,
-    in_flight: bool,
-    due: bool,
-}
-
-impl RouterConn {
-    /// Read more bytes only when the connection could act on them:
-    /// not while a run is in flight, parked, or queued — that is
-    /// the per-connection backpressure that bounds router memory.
-    fn wants_read(&self) -> bool {
-        !self.conn.dead
-            && !self.conn.eof
-            && !self.conn.backlogged()
-            && !self.in_flight
-            && self.parked.is_none()
-            && self.pending.is_empty()
-    }
-
-    /// Nothing left to do or deliver: safe to drop once seen dead.
-    fn idle(&self) -> bool {
-        !self.in_flight && self.parked.is_none() && self.pending.is_empty()
-    }
-}
-
-/// Serves a bound listener in sharded mode; the entry point
-/// `serve_unix` takes when `options.shards > 1`. `template` only
-/// donates tuning — all queries run on the per-shard engines.
-pub(crate) fn run_sharded_pool(
-    template: &Engine,
-    policy: &ResourcePolicy,
-    listener: &UnixListener,
-    options: &ServeOptions,
-    metrics: &ServeMetrics,
-) -> std::io::Result<ServeSummary> {
-    let runtime = ShardRuntime::new(template, options, SHARD_QUEUE_CAP)?;
-    run_router(&runtime, policy, listener, options, metrics)?;
-    Ok(sharded_summary(&runtime, metrics))
-}
-
-/// Folds the per-shard counters into the flat [`ServeSummary`]: global
-/// connection accounting from the router metrics plus op counts and
-/// incremental stats summed across shards.
-pub(crate) fn sharded_summary(runtime: &ShardRuntime, metrics: &ServeMetrics) -> ServeSummary {
-    let mut summary = metrics.summary();
-    for shard in &runtime.shard_metrics {
-        let (queries, mutations, errors) = shard.op_counts();
-        summary.queries += queries;
-        summary.mutations += mutations;
-        summary.errors += errors;
-    }
-    for engine in &runtime.engines {
-        let inc = engine.incremental_stats();
-        summary.incremental_hits += inc.hits;
-        summary.incremental_fallbacks += inc.fallbacks;
-    }
-    summary
-}
-
-/// The accept thread + router event loops + per-shard executor pools,
-/// all under one scope. Mirrors `run_pool`'s lifecycle exactly: the
-/// accept loop ends on shutdown or error, latches the stop flag, wakes
-/// everyone, and the scope join is the drain.
-pub(crate) fn run_router(
-    runtime: &ShardRuntime,
-    policy: &ResourcePolicy,
-    listener: &UnixListener,
-    options: &ServeOptions,
-    metrics: &ServeMetrics,
-) -> std::io::Result<()> {
-    let workers = options.workers.max(1);
-    listener.set_nonblocking(true)?;
-    let (accept_waker, accept_rx) = wake_pair()?;
-    let mut slots = Vec::with_capacity(workers);
-    let mut receivers = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (waker, rx) = wake_pair()?;
-        slots.push(RouterSlot {
-            arrivals: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            waker,
-        });
-        receivers.push(rx);
-    }
-    let shared = RouterShared {
-        slots,
-        accept_waker,
-        gate: ConnGate::new(options.max_connections),
-    };
-    std::thread::scope(|s| {
-        for (index, rx) in receivers.into_iter().enumerate() {
-            let shared = &shared;
-            s.spawn(move || router_event_loop(runtime, metrics, shared, index, rx));
-        }
-        for shard in 0..runtime.engines.len() {
-            for _ in 0..workers {
-                let shared = &shared;
-                s.spawn(move || executor_loop(runtime, shard, policy, metrics, shared));
-            }
-        }
-        let mut next_worker = 0usize;
-        let accept_result = loop {
-            if !shared.gate.acquire(metrics) {
-                break Ok(());
-            }
-            match accept_next(listener, &accept_rx, metrics) {
-                Ok(Some(conn)) => {
-                    let slot = &shared.slots[next_worker % shared.slots.len()];
-                    next_worker = next_worker.wrapping_add(1);
-                    slot.arrivals.lock().expect("arrivals poisoned").push(conn);
-                    slot.waker.wake();
-                }
-                Ok(None) => {
-                    shared.gate.release();
-                    break Ok(());
-                }
-                Err(e) => {
-                    shared.gate.release();
-                    break Err(e);
-                }
-            }
-        };
-        metrics.request_shutdown();
-        shared.wake_all(runtime);
-        accept_result
-    })
+    engine
 }
 
 /// One shard's executor: pop a run, execute its requests in order
 /// against **this shard's** engine and metrics only (the whole
 /// isolation invariant is visible right here), encode every reply into
 /// one buffer, mail it home as one completion.
-fn executor_loop(
-    runtime: &ShardRuntime,
+#[cfg(unix)]
+pub(crate) fn executor_loop(
+    runtime: &ShardRuntime<'_>,
     shard: usize,
     policy: &ResourcePolicy,
     metrics: &ServeMetrics,
-    shared: &RouterShared,
+    pool: &Pool,
 ) {
     // Not a `while let`: the cfg(test) executor brake must run before
     // every pop, inside the loop body.
@@ -580,281 +582,105 @@ fn executor_loop(
         if runtime.holds[shard].is_held() && !metrics.shutdown_requested() {
             runtime.queues[shard].push_front(job);
             for worker in stalled {
-                shared.slots[worker].waker.wake();
+                pool.wake(worker);
             }
             runtime.holds[shard].wait(metrics);
             continue;
         }
         let mut bytes = Vec::new();
         for request in &job.run {
-            let (response, outcome) = handle_fields(
-                &runtime.engines[shard],
+            // `stats` and `shutdown` never join a run (see
+            // `PendingItem::new`), so no reply here latches shutdown.
+            answer(
+                runtime,
+                shard,
                 policy,
-                &runtime.shard_metrics[shard],
-                &request.fields,
+                metrics,
                 request.op,
+                &request.fields,
+                job.binary,
+                &mut bytes,
             );
-            // `shutdown` is classified inline at extraction, with the
-            // same op resolution `handle_fields` uses.
-            debug_assert!(!matches!(outcome, LineOutcome::Shutdown));
-            encode_response(job.binary, &response, &mut bytes);
         }
-        let completion = Completion {
-            slot: job.slot,
-            gen: job.gen,
-            bytes,
-        };
-        let home = &shared.slots[job.worker];
-        home.completions
-            .lock()
-            .expect("completion mailbox poisoned")
-            .push(completion);
-        home.waker.wake();
-        // Capacity freed: revive router workers whose connections
-        // parked against this queue's bound.
+        pool.deliver(
+            job.worker,
+            Completion {
+                slot: job.slot,
+                gen: job.gen,
+                bytes,
+            },
+        );
+        // Capacity freed: revive event loops whose connections parked
+        // against this queue's bound.
         for worker in stalled {
-            shared.slots[worker].waker.wake();
+            pool.wake(worker);
         }
     }
 }
 
-fn encode_response(binary: bool, response: &str, out: &mut Vec<u8>) {
-    if binary {
-        crate::frame::encode_reply(response, out);
-    } else {
-        out.extend_from_slice(response.as_bytes());
-        out.push(b'\n');
-    }
+/// A decoded request (or a decode error's reply) waiting its turn on
+/// an N-shard connection, dispatched strictly in order.
+pub(crate) enum PendingItem {
+    /// A request homed to shard `shard` by [`routing_shard`].
+    Routed { shard: usize, request: Request },
+    /// `stats` or `shutdown`: concerns the whole server, so the event
+    /// loop answers it in its turn.
+    Inline(Request),
+    /// A pre-encoded error reply: a per-request decode error (the
+    /// stream stays synchronized), or frame-level damage (the
+    /// connection closes after it; its input was already discarded at
+    /// extraction).
+    Error(Vec<u8>),
 }
 
-/// Borrow bundle for the router's per-connection work.
-struct RouterCtx<'a> {
-    runtime: &'a ShardRuntime,
-    global: &'a ServeMetrics,
-    shared: &'a RouterShared,
-    worker: usize,
-}
-
-/// One router worker: owns a slab of connections, multiplexes their
-/// sockets with `poll(2)`, extracts requests, routes them, and splices
-/// completed replies back into the right write buffer. No engine work
-/// happens on this thread — a router turn is pure I/O plus hashing.
-fn router_event_loop(
-    runtime: &ShardRuntime,
-    metrics: &ServeMetrics,
-    shared: &RouterShared,
-    index: usize,
-    wake_rx: WakeReceiver,
-) {
-    let ctx = RouterCtx {
-        runtime,
-        global: metrics,
-        shared,
-        worker: index,
-    };
-    let mut conns: Vec<Option<RouterConn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut gen_counter = 0u64;
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut fd_slots: Vec<usize> = Vec::new();
-    loop {
-        if metrics.shutdown_requested() {
-            break;
-        }
-        // Adopt newly assigned connections into free slab slots.
-        let adopted: Vec<_> = {
-            let mut arrivals = shared.slots[index]
-                .arrivals
-                .lock()
-                .expect("arrivals poisoned");
-            arrivals.drain(..).collect()
+impl PendingItem {
+    /// Classifies a decoded request by where it is answered.
+    pub(crate) fn new(op: Option<&'static str>, fields: &[(String, Value)], shards: usize) -> Self {
+        let request = Request {
+            op,
+            fields: fields.to_vec(),
         };
-        for stream in adopted {
-            match stream.set_nonblocking(true) {
-                Ok(()) => {
-                    metrics.connection_opened();
-                    gen_counter += 1;
-                    let rc = RouterConn {
-                        conn: Connection::new(stream),
-                        gen: gen_counter,
-                        pending: VecDeque::new(),
-                        parked: None,
-                        in_flight: false,
-                        due: false,
-                    };
-                    match free.pop() {
-                        Some(slot) => conns[slot] = Some(rc),
-                        None => conns.push(Some(rc)),
-                    }
-                }
-                Err(_) => shared.gate.release(),
-            }
+        let op = op.or_else(|| minijson::get(fields, "op").and_then(Value::as_str));
+        if matches!(op, Some("stats" | "shutdown")) {
+            return PendingItem::Inline(request);
         }
-        // Poll only connections that can act on readiness. A connection
-        // awaiting a shard (in flight or parked) with nothing to write
-        // is deliberately absent — its wake arrives via the completion
-        // mailbox, and polling its fd would busy-spin on POLLHUP if the
-        // client hung up mid-request.
-        fds.clear();
-        fd_slots.clear();
-        fds.push(PollFd::new(wake_rx.fd(), POLLIN));
-        for (slot, entry) in conns.iter().enumerate() {
-            let Some(rc) = entry else { continue };
-            let mut events = 0i16;
-            if rc.wants_read() {
-                events |= POLLIN;
-            }
-            if rc.conn.wants_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(rc.conn.stream.as_raw_fd(), events));
-                fd_slots.push(slot);
-            }
+        let graph = minijson::get(fields, "graph").and_then(Value::as_str);
+        let file = minijson::get(fields, "file").and_then(Value::as_str);
+        PendingItem::Routed {
+            shard: routing_shard(graph, file, shards),
+            request,
         }
-        if poll_fds(&mut fds, -1).is_err() {
-            metrics.request_shutdown();
-            shared.wake_all(runtime);
-            break;
-        }
-        if fds[0].ready(POLLIN) {
-            wake_rx.drain();
-        }
-        let mut saw_shutdown = false;
-        // Splice completed replies home first, so the service pass
-        // below can flush them and dispatch each connection's next run
-        // in the same turn.
-        apply_completions(&ctx, &mut conns);
-        for (pfd, &slot) in fds[1..].iter().zip(&fd_slots) {
-            if pfd.ready(POLLIN | POLLOUT | crate::readiness::POLLERR | crate::readiness::POLLHUP) {
-                if let Some(rc) = conns[slot].as_mut() {
-                    rc.due = true;
-                }
-            }
-        }
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let Some(rc) = entry else { continue };
-            // Parked connections get a turn every wake: the executor
-            // that freed queue capacity woke this loop, and the retry
-            // lives in the dispatch path.
-            if !std::mem::take(&mut rc.due) && rc.parked.is_none() {
-                continue;
-            }
-            service_conn(&ctx, rc, slot, &mut saw_shutdown);
-            if saw_shutdown {
-                break;
-            }
-        }
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let prune = match entry {
-                Some(rc) => rc.conn.dead && !rc.in_flight,
-                None => false,
-            };
-            if prune {
-                *entry = None;
-                free.push(slot);
-                metrics.connection_closed();
-                shared.gate.release();
-            }
-        }
-        if saw_shutdown {
-            shared.wake_all(runtime);
-            break;
-        }
-    }
-    // Shutdown drain: deliver any replies already mailed back, then one
-    // best-effort flush per connection — never blocking on a slow
-    // client, mirroring the single-engine pool's drain.
-    apply_completions(&ctx, &mut conns);
-    for rc in conns.iter_mut().flatten() {
-        if !rc.conn.dead {
-            rc.conn.flush();
-        }
-        metrics.connection_closed();
-        shared.gate.release();
     }
 }
 
-/// Drains this worker's completion mailbox into the owning
-/// connections' write buffers (generation-checked, so a reply for a
-/// dead, reclaimed slot is dropped on the floor) and marks each
-/// receiving connection due for service.
-fn apply_completions(ctx: &RouterCtx<'_>, conns: &mut [Option<RouterConn>]) {
-    let completions: Vec<Completion> = {
-        let mut mailbox = ctx.shared.slots[ctx.worker]
-            .completions
-            .lock()
-            .expect("completion mailbox poisoned");
-        mailbox.drain(..).collect()
-    };
-    for completion in completions {
-        let Some(rc) = conns.get_mut(completion.slot).and_then(Option::as_mut) else {
-            continue;
-        };
-        if rc.gen != completion.gen {
-            continue;
-        }
-        rc.conn.wbuf.extend_from_slice(&completion.bytes);
-        rc.in_flight = false;
-        rc.due = true;
-    }
-}
-
-/// One connection's service turn: read, dispatch in strict order
-/// (parked run → pending items, after extracting fresh input), flush.
-/// The backlog-retry dance mirrors `Connection::service`.
-fn service_conn(ctx: &RouterCtx<'_>, rc: &mut RouterConn, slot: usize, saw_shutdown: &mut bool) {
-    loop {
-        let was_backlogged = rc.conn.backlogged();
-        if rc.wants_read() {
-            rc.conn.fill_rbuf();
-        }
-        let progressed = dispatch(ctx, rc, slot, saw_shutdown);
-        if rc.conn.wants_write() {
-            rc.conn.flush();
-        }
-        if rc.conn.dead || *saw_shutdown {
-            break;
-        }
-        if was_backlogged && !rc.conn.backlogged() {
-            continue;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    if !rc.conn.dead && rc.conn.eof && rc.conn.pending_write() == 0 && rc.idle() {
-        rc.conn.dead = true;
-    }
-}
-
-/// Advances one connection as far as the serial-dispatch rule allows:
-/// extracts everything complete in the read buffer, then answers
-/// inline items and hands runs to shards until one run is in flight.
-/// Returns whether anything moved.
-fn dispatch(
-    ctx: &RouterCtx<'_>,
-    rc: &mut RouterConn,
+/// Advances an N-shard connection as far as the serial-dispatch rule
+/// allows: retries a parked run, then answers inline items and hands
+/// runs to shards until one run is in flight. Returns whether anything
+/// moved. A no-op at one shard, where nothing is ever pending.
+#[cfg(unix)]
+pub(crate) fn dispatch(
+    ctx: &LoopCtx<'_>,
+    conn: &mut Connection,
     slot: usize,
     saw_shutdown: &mut bool,
 ) -> bool {
-    let mut progressed = extract_all(ctx, rc);
+    let mut progressed = false;
     loop {
-        if rc.conn.dead || *saw_shutdown {
+        if conn.dead || *saw_shutdown {
             return progressed;
         }
         // Retry a run bounced off a full shard queue before anything
         // else — order is sacred.
-        if let Some((shard, job)) = rc.parked.take() {
-            if !push_run(ctx, rc, shard, job) {
+        if let Some((shard, job)) = conn.parked.take() {
+            if !push_run(ctx, conn, shard, job) {
                 return progressed;
             }
             progressed = true;
         }
-        if rc.in_flight || rc.conn.backlogged() {
+        if conn.in_flight || conn.backlogged() {
             return progressed;
         }
-        let Some(item) = rc.pending.pop_front() else {
+        let Some(item) = conn.pending.pop_front() else {
             return progressed;
         };
         progressed = true;
@@ -862,12 +688,12 @@ fn dispatch(
             PendingItem::Routed { shard, request } => {
                 let mut run = vec![request];
                 while run.len() < MAX_RUN {
-                    match rc.pending.pop_front() {
+                    match conn.pending.pop_front() {
                         Some(PendingItem::Routed { shard: s, request }) if s == shard => {
                             run.push(request)
                         }
                         Some(other) => {
-                            rc.pending.push_front(other);
+                            conn.pending.push_front(other);
                             break;
                         }
                         None => break,
@@ -876,16 +702,33 @@ fn dispatch(
                 let job = ShardJob {
                     worker: ctx.worker,
                     slot,
-                    gen: rc.gen,
+                    gen: conn.gen,
                     run,
-                    binary: matches!(rc.conn.mode, WireMode::Binary),
+                    binary: conn.binary(),
                 };
-                push_run(ctx, rc, shard, job);
+                push_run(ctx, conn, shard, job);
             }
-            PendingItem::Inline { shutdown, request } => {
-                answer_inline(ctx, rc, shutdown, &request.fields, saw_shutdown);
+            PendingItem::Inline(request) => {
+                let binary = conn.binary();
+                let shutdown = answer(
+                    ctx.runtime,
+                    0,
+                    ctx.policy,
+                    ctx.metrics,
+                    request.op,
+                    &request.fields,
+                    binary,
+                    &mut conn.wbuf,
+                );
+                if shutdown {
+                    // Requests after a shutdown go unanswered, exactly
+                    // like the one-shard loop leaves later input unread.
+                    conn.pending.clear();
+                    conn.rpos = conn.rbuf.len();
+                    *saw_shutdown = true;
+                }
             }
-            PendingItem::Error { bytes } => rc.conn.wbuf.extend_from_slice(&bytes),
+            PendingItem::Error(bytes) => conn.wbuf.extend_from_slice(&bytes),
         }
     }
 }
@@ -893,340 +736,47 @@ fn dispatch(
 /// Hands a run to its shard's queue; a full queue parks it on the
 /// connection instead. `routed` counts requests, so it moves by the
 /// run's length. Returns whether the run went in.
-fn push_run(ctx: &RouterCtx<'_>, rc: &mut RouterConn, shard: usize, job: ShardJob) -> bool {
+#[cfg(unix)]
+fn push_run(ctx: &LoopCtx<'_>, conn: &mut Connection, shard: usize, job: ShardJob) -> bool {
     let len = job.run.len() as u64;
     match ctx.runtime.queues[shard].try_push(job, ctx.worker) {
         Ok(()) => {
             ctx.runtime.routed[shard].fetch_add(len, Ordering::Relaxed);
-            rc.in_flight = true;
+            conn.in_flight = true;
             true
         }
         Err(job) => {
-            rc.parked = Some((shard, job));
+            conn.parked = Some((shard, job));
             false
         }
     }
 }
 
-/// Answers `stats` (merged across shards) or `shutdown` on the router:
-/// they concern the whole server, not one shard.
-fn answer_inline(
-    ctx: &RouterCtx<'_>,
-    rc: &mut RouterConn,
-    shutdown: bool,
-    fields: &[(String, Value)],
-    saw_shutdown: &mut bool,
-) {
-    let binary = matches!(rc.conn.mode, WireMode::Binary);
-    if !shutdown {
-        let response = merged_stats(ctx.runtime, ctx.global, fields);
-        encode_response(binary, &response, &mut rc.conn.wbuf);
-        return;
-    }
-    ctx.global.request_shutdown();
-    let mut j = JsonBuilder::new();
-    begin_envelope(&mut j, fields);
-    j.raw_field("ok", "true");
-    j.raw_field("bye", "true");
-    encode_response(binary, &j.finish(), &mut rc.conn.wbuf);
-    // Requests after a shutdown go unanswered, exactly like the
-    // single-engine loop leaves later lines unread.
-    rc.pending.clear();
-    rc.conn.rpos = rc.conn.rbuf.len();
-    *saw_shutdown = true;
-}
-
-/// Starts a response envelope with the request's echoed `id`, exactly
-/// like [`handle_fields`].
-fn begin_envelope(j: &mut JsonBuilder, fields: &[(String, Value)]) {
-    match minijson::get(fields, "id") {
-        Some(v) => j.value_field("id", v),
-        None => j.raw_field("id", "null"),
-    }
-}
-
-/// Scatter/gathers every shard's counters into the single-engine
-/// `stats` schema — same fields, same order, values summed, `named`
-/// arrays concatenated in shard order — plus a trailing `"shards"`
-/// breakdown array. The per-shard rows are the observable proof of
-/// isolation: each shard's loads/queries/mutations moved only when
-/// requests routed to it.
-fn merged_stats(
-    runtime: &ShardRuntime,
-    metrics: &ServeMetrics,
-    fields: &[(String, Value)],
-) -> String {
-    let mut loads = 0u64;
-    let mut hits = 0u64;
-    let mut stat_scans = 0u64;
-    let mut evictions = 0u64;
-    let mut graphs = 0usize;
-    let mut result_hits = 0u64;
-    let mut result_misses = 0u64;
-    let mut result_insertions = 0u64;
-    let mut result_evictions = 0u64;
-    let mut result_entries = 0u64;
-    let mut result_bytes = 0u64;
-    let mut mutations = 0u64;
-    let mut graphs_named = 0usize;
-    let mut warm_hits = 0u64;
-    let mut warm_fallbacks = 0u64;
-    let mut incremental_hits = 0u64;
-    let mut incremental_fallbacks = 0u64;
-    let mut replayed_ops = 0u64;
-    let mut dropped_tail_records = 0u64;
-    let mut named: Vec<String> = Vec::new();
-    let mut breakdown: Vec<String> = Vec::new();
-    for (index, engine) in runtime.engines.iter().enumerate() {
-        let stats = engine.catalog().stats();
-        let results = engine.results().stats();
-        let warm = engine.warm_stats();
-        let inc = engine.incremental_stats();
-        loads += stats.loads;
-        hits += stats.hits;
-        stat_scans += stats.stat_scans;
-        evictions += stats.evictions;
-        graphs += engine.catalog().len();
-        result_hits += results.hits;
-        result_misses += results.misses;
-        result_insertions += results.insertions;
-        result_evictions += results.evictions;
-        result_entries += results.entries;
-        result_bytes += results.bytes;
-        mutations += engine.catalog().mutations();
-        graphs_named += engine.catalog().named_len();
-        warm_hits += warm.hits;
-        warm_fallbacks += warm.fallbacks;
-        incremental_hits += inc.hits;
-        incremental_fallbacks += inc.fallbacks;
-        let (shard_replayed, shard_dropped) = engine.catalog().recovery_counters();
-        replayed_ops += shard_replayed;
-        dropped_tail_records += shard_dropped;
-        for g in engine.catalog().named_stats() {
-            let mut item = JsonBuilder::new();
-            item.str_field("name", &g.name);
-            item.num_field("version", g.version as f64);
-            item.num_field("nodes", g.nodes as f64);
-            item.num_field("edges", g.edges as f64);
-            item.num_field("delta_edges", g.delta_edges as f64);
-            item.num_field("compactions", g.compactions as f64);
-            item.num_field("warm_hits", g.warm_hits as f64);
-            item.num_field("warm_fallbacks", g.warm_fallbacks as f64);
-            item.num_field("incremental_hits", g.incremental_hits as f64);
-            item.num_field("incremental_fallbacks", g.incremental_fallbacks as f64);
-            item.num_field("wal_bytes", g.wal_bytes as f64);
-            item.num_field("snapshot_version", g.snapshot_version as f64);
-            item.num_field("last_fsync", g.last_fsync as f64);
-            item.num_field("replayed_ops", g.replayed_ops as f64);
-            item.num_field("dropped_tail_records", g.dropped_tail_records as f64);
-            named.push(item.finish());
-        }
-        let (shard_queries, shard_mutations, shard_errors) =
-            runtime.shard_metrics[index].op_counts();
-        let mut row = JsonBuilder::new();
-        row.num_field("shard", index as f64);
-        row.num_field(
-            "routed",
-            runtime.routed[index].load(Ordering::Relaxed) as f64,
-        );
-        row.num_field("queries", shard_queries as f64);
-        row.num_field("mutations", shard_mutations as f64);
-        row.num_field("errors", shard_errors as f64);
-        row.num_field("loads", stats.loads as f64);
-        row.num_field("graphs", engine.catalog().len() as f64);
-        row.num_field("graphs_named", engine.catalog().named_len() as f64);
-        breakdown.push(row.finish());
-    }
-    let mut j = JsonBuilder::new();
-    begin_envelope(&mut j, fields);
-    j.raw_field("ok", "true");
-    j.num_field("loads", loads as f64);
-    j.num_field("hits", hits as f64);
-    j.num_field("stat_scans", stat_scans as f64);
-    j.num_field("evictions", evictions as f64);
-    j.num_field("graphs", graphs as f64);
-    j.num_field("result_hits", result_hits as f64);
-    j.num_field("result_misses", result_misses as f64);
-    j.num_field("result_insertions", result_insertions as f64);
-    j.num_field("result_evictions", result_evictions as f64);
-    j.num_field("result_entries", result_entries as f64);
-    j.num_field("result_bytes", result_bytes as f64);
-    j.num_field("conn_active", metrics.active_connections() as f64);
-    j.num_field("conn_peak", metrics.peak_connections() as f64);
-    j.num_field("mutations", mutations as f64);
-    j.num_field("graphs_named", graphs_named as f64);
-    j.num_field("warm_hits", warm_hits as f64);
-    j.num_field("warm_fallbacks", warm_fallbacks as f64);
-    j.num_field("incremental_hits", incremental_hits as f64);
-    j.num_field("incremental_fallbacks", incremental_fallbacks as f64);
-    j.num_field("replayed_ops", replayed_ops as f64);
-    j.num_field("dropped_tail_records", dropped_tail_records as f64);
-    if !named.is_empty() {
-        j.raw_field("named", &format!("[{}]", named.join(",")));
-    }
-    j.raw_field("shards", &format!("[{}]", breakdown.join(",")));
-    j.finish()
-}
-
-/// Moves every complete unit of input in the read buffer into
-/// `pending`: each JSONL line, each binary frame (a batch frame queues
-/// all its items at once). Extracting everything up front is what lets
-/// a JSONL pipeline or a window of frames form runs, not only a batch
-/// frame. Returns whether anything was extracted.
-fn extract_all(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
-    let mut extracted = false;
-    while rc.conn.rpos < rc.conn.rbuf.len() {
-        if matches!(rc.conn.mode, WireMode::Undetected) {
-            rc.conn.mode = if rc.conn.rbuf[rc.conn.rpos] == crate::frame::MAGIC {
-                WireMode::Binary
-            } else {
-                WireMode::Jsonl
-            };
-        }
-        let handled = if matches!(rc.conn.mode, WireMode::Binary) {
-            extract_frame(ctx, rc)
-        } else {
-            extract_jsonl(ctx, rc)
+/// Splices completed runs into their connections' write buffers
+/// (generation-checked, so a reply for a dead, reclaimed slot is
+/// dropped on the floor) and marks each receiving connection due for
+/// service.
+#[cfg(unix)]
+pub(crate) fn apply_completions(completions: Vec<Completion>, conns: &mut [Option<Connection>]) {
+    for completion in completions {
+        let Some(conn) = conns.get_mut(completion.slot).and_then(Option::as_mut) else {
+            continue;
         };
-        if !handled {
-            break;
+        if conn.gen != completion.gen {
+            continue;
         }
-        extracted = true;
+        conn.wbuf.extend_from_slice(&completion.bytes);
+        conn.in_flight = false;
+        conn.due = true;
     }
-    if rc.conn.rpos >= rc.conn.rbuf.len() {
-        rc.conn.rbuf.clear();
-        rc.conn.rpos = 0;
-    } else if rc.conn.rpos >= READ_CHUNK {
-        rc.conn.rbuf.drain(..rc.conn.rpos);
-        rc.conn.rpos = 0;
-    }
-    extracted
-}
-
-/// Queues one JSONL request (or its parse-error reply), if a complete
-/// line is buffered.
-fn extract_jsonl(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
-    let conn = &mut rc.conn;
-    let Some(nl) = conn.rbuf[conn.rpos..].iter().position(|&b| b == b'\n') else {
-        return false;
-    };
-    let start = conn.rpos;
-    conn.rpos = start + nl + 1;
-    let raw = &conn.rbuf[start..start + nl];
-    let lossy;
-    let text = match std::str::from_utf8(raw) {
-        Ok(text) => text,
-        Err(_) => {
-            lossy = String::from_utf8_lossy(raw).into_owned();
-            &lossy
-        }
-    };
-    if text.trim().is_empty() {
-        return true;
-    }
-    match minijson::parse_object(text) {
-        Ok(fields) => {
-            let request = Request { op: None, fields };
-            let shards = ctx.runtime.engines.len();
-            rc.pending.push_back(PendingItem::request(request, shards));
-        }
-        Err(e) => {
-            ctx.global.record_error();
-            let mut bytes = Vec::new();
-            encode_response(false, &error_response("null", &e.to_string()), &mut bytes);
-            rc.pending.push_back(PendingItem::Error { bytes });
-        }
-    }
-    true
-}
-
-/// Queues one binary frame's request(s), if a complete frame is
-/// buffered. Framing damage poisons the connection: its reply is
-/// queued (order preserved behind earlier requests) and the remaining
-/// input is discarded now.
-fn extract_frame(ctx: &RouterCtx<'_>, rc: &mut RouterConn) -> bool {
-    use crate::frame::{self, FrameError, Opcode};
-
-    let conn = &mut rc.conn;
-    let decoded = match frame::decode_frame(&conn.rbuf[conn.rpos..], frame::DEFAULT_MAX_FRAME) {
-        Ok(None) => return false,
-        Ok(Some(decoded)) => decoded,
-        Err(e) => {
-            poison(ctx, rc, &e.to_string());
-            return true;
-        }
-    };
-    let (opcode, payload, consumed) = decoded;
-    let mut scratch = minijson::FieldScratch::new();
-    let mut items: Vec<PendingItem> = Vec::new();
-    let mut damage: Option<String> = None;
-    match opcode {
-        Opcode::Reply => {
-            damage = Some(FrameError::Misplaced("a client must not send reply frames").to_string());
-        }
-        Opcode::Batch => {
-            for item in frame::batch_items(payload) {
-                match item {
-                    Ok((op, body)) => items.push(decode_item(ctx, op, body, &mut scratch)),
-                    Err(e) => {
-                        damage = Some(e.to_string());
-                        break;
-                    }
-                }
-            }
-        }
-        op => items.push(decode_item(ctx, op, payload, &mut scratch)),
-    }
-    conn.rpos += consumed;
-    rc.pending.extend(items);
-    if let Some(message) = damage {
-        poison(ctx, rc, &message);
-    }
-    true
-}
-
-/// Decodes one binary request payload into a pending item — a routed
-/// request, or its per-request typed error (frame boundary intact, so
-/// the stream stays synchronized).
-fn decode_item(
-    ctx: &RouterCtx<'_>,
-    opcode: crate::frame::Opcode,
-    payload: &[u8],
-    scratch: &mut minijson::FieldScratch,
-) -> PendingItem {
-    match crate::frame::decode_request_payload(payload, scratch) {
-        Ok(()) => PendingItem::request(
-            Request {
-                op: Some(opcode.op_name()),
-                fields: scratch.fields().to_vec(),
-            },
-            ctx.runtime.engines.len(),
-        ),
-        Err(e) => {
-            ctx.global.record_error();
-            let mut bytes = Vec::new();
-            crate::frame::encode_reply(&error_response("null", &e.to_string()), &mut bytes);
-            PendingItem::Error { bytes }
-        }
-    }
-}
-
-/// Frame-level damage: queue one typed error reply (ordered behind
-/// earlier requests), discard all remaining input, and let the
-/// connection close once everything queued has drained.
-fn poison(ctx: &RouterCtx<'_>, rc: &mut RouterConn, message: &str) {
-    ctx.global.record_error();
-    let mut bytes = Vec::new();
-    crate::frame::encode_reply(&error_response("null", message), &mut bytes);
-    rc.pending.push_back(PendingItem::Error { bytes });
-    rc.conn.rpos = rc.conn.rbuf.len();
-    rc.conn.eof = true;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::run_pool;
     use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::time::Duration;
 
@@ -1533,7 +1083,7 @@ mod tests {
         }
     }
 
-    /// Test harness around [`run_router`] directly: tiny queue caps and
+    /// Test harness around [`run_pool`] directly: tiny queue caps and
     /// the per-shard [`HoldGate`]s are only reachable this way.
     fn with_held_router<F: FnOnce(&ShardRuntime, &Path)>(name: &str, queue_cap: usize, body: F) {
         let sock = sock_path(name);
@@ -1551,7 +1101,7 @@ mod tests {
         let metrics = ServeMetrics::new();
         std::thread::scope(|s| {
             s.spawn(|| {
-                run_router(&runtime, &policy, &listener, &options, &metrics).expect("router failed")
+                run_pool(&runtime, &policy, &listener, &options, &metrics).expect("router failed")
             });
             let result =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&runtime, &sock)));

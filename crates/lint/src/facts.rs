@@ -335,6 +335,28 @@ fn skip_attr(tokens: &[Token], i: usize) -> usize {
     j
 }
 
+/// True when the tokens from `i` (just past an attribute) start an item
+/// — another attribute, or an item keyword after an optional
+/// visibility — rather than a field or a variant.
+fn attr_target_is_item(tokens: &[Token], i: usize) -> bool {
+    const ITEM_KEYWORDS: &[&str] = &[
+        "fn", "mod", "struct", "enum", "impl", "trait", "const", "static", "use", "type", "async",
+        "unsafe", "extern",
+    ];
+    let mut j = i;
+    if tokens.get(j).and_then(Token::ident) == Some("pub") {
+        j += 1;
+        if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
+            j = matching_paren(tokens, j).map_or(tokens.len(), |close| close + 1);
+        }
+    }
+    match tokens.get(j) {
+        Some(t) if t.is_punct('#') => true,
+        Some(t) => t.ident().is_some_and(|w| ITEM_KEYWORDS.contains(&w)),
+        None => false,
+    }
+}
+
 /// True when the attribute starting at `#` index `i` contains `cfg ( test )`.
 fn attr_is_cfg_test(tokens: &[Token], i: usize) -> bool {
     let end = skip_attr(tokens, i);
@@ -379,6 +401,12 @@ pub fn extract_functions(
                     cfg_test = true;
                 }
                 i = skip_attr(tokens, i);
+                // On a struct field or an enum variant the attribute
+                // covers that alone; it must not carry over to the next
+                // item (say, the struct's `impl`) and hide it.
+                if cfg_test && !attr_target_is_item(tokens, i) {
+                    cfg_test = false;
+                }
             }
             Tok::Ident(w) if w == "impl" && !cfg_test => {
                 if let Some((name, body_open)) = parse_impl_header(tokens, i) {

@@ -212,7 +212,22 @@ pub fn run(reg: &LockRegistry, files: &[FileFacts], cfg: &Config) -> Report {
     }
 
     // --- rule: hot-path hygiene ---------------------------------------
-    let hot = hot_functions(&funcs, &callees, cfg);
+    let (hot, unmatched_roots) = hot_functions(&funcs, &callees, cfg);
+    // A root that names no function would silently empty its closure
+    // and switch the hot-path rules off for everything it used to cover
+    // (a renamed event loop, say); that is a configuration error.
+    for root in unmatched_roots {
+        findings.push(Finding {
+            rule: rule::CONFIG.to_string(),
+            file: "lint.toml".to_string(),
+            line: 0,
+            message: format!(
+                "[hot_path] root `{root}` names no function in the analyzed sources, \
+                 so the hot-path rules check nothing from it"
+            ),
+            suppressed: None,
+        });
+    }
     let mut hot_names: Vec<String> = hot
         .iter()
         .map(|&gi| {
@@ -505,21 +520,25 @@ fn transitive_acquires(
 }
 
 /// Call-graph closure of the configured hot roots, restricted (for
-/// reporting) to functions defined in hot files.
-fn hot_functions(
+/// reporting) to functions defined in hot files, plus the configured
+/// roots that match no function.
+fn hot_functions<'c>(
     funcs: &[Flat<'_>],
     callees: &[HashMap<usize, usize>],
-    cfg: &Config,
-) -> Vec<usize> {
+    cfg: &'c Config,
+) -> (Vec<usize>, Vec<&'c str>) {
+    let names = |r: &str, fl: &Flat<'_>| r == fl.func.name || r == fl.func.display();
     let roots: Vec<usize> = funcs
         .iter()
         .enumerate()
-        .filter(|(_, fl)| {
-            cfg.hot_roots
-                .iter()
-                .any(|r| *r == fl.func.name || *r == fl.func.display())
-        })
+        .filter(|(_, fl)| cfg.hot_roots.iter().any(|r| names(r, fl)))
         .map(|(gi, _)| gi)
+        .collect();
+    let unmatched: Vec<&str> = cfg
+        .hot_roots
+        .iter()
+        .filter(|r| !funcs.iter().any(|fl| names(r, fl)))
+        .map(String::as_str)
         .collect();
     let mut reach: HashSet<usize> = HashSet::new();
     let mut q: VecDeque<usize> = roots.into_iter().collect();
@@ -540,7 +559,7 @@ fn hot_functions(
         })
         .collect();
     hot.sort();
-    hot
+    (hot, unmatched)
 }
 
 /// Match findings against `// dsg-lint: allow(...)` comments (same line

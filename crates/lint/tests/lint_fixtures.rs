@@ -175,6 +175,60 @@ roots = ["worker_event_loop"]
 }
 
 #[test]
+fn hot_path_root_naming_no_function_is_a_finding() {
+    // `event_loop` is not defined in the fixture (its loop is
+    // `worker_event_loop`): the root matches nothing, so its closure is
+    // empty and neither hot-path rule could fire from it. That must be
+    // reported rather than pass as clean.
+    let config = r#"
+[lock_order]
+leaves = ["Gate.used"]
+
+[hot_path]
+files = ["flush_backlog.rs"]
+roots = ["event_loop"]
+"#;
+    let report = run(&["flush_backlog.rs"], config);
+    let config_findings: Vec<_> = report
+        .unsuppressed()
+        .filter(|f| f.rule == "config")
+        .collect();
+    assert_eq!(config_findings.len(), 1, "{config_findings:?}");
+    assert_eq!(config_findings[0].file, "lint.toml");
+    assert!(
+        config_findings[0].message.contains("`event_loop`"),
+        "{}",
+        config_findings[0].message
+    );
+    // A root that does match stays free of config findings.
+    let matched = run(
+        &["flush_backlog.rs"],
+        &config.replace("\"event_loop\"", "\"worker_event_loop\""),
+    );
+    assert!(
+        !matched.unsuppressed().any(|f| f.rule == "config"),
+        "a matching root must not be reported"
+    );
+}
+
+#[test]
+fn cfg_test_field_does_not_hide_the_next_impl() {
+    let config = r#"
+[hot_path]
+files = ["cfg_test_field.rs"]
+roots = ["event_loop"]
+"#;
+    let report = run(&["cfg_test_field.rs"], config);
+    let findings = unsuppressed(&report);
+    assert!(
+        findings
+            .iter()
+            .any(|(r, _, l)| r == "hot-path-panic" && *l == 13),
+        "expected hot-path-panic on the unwrap in Runtime::lead_engine, got {findings:?}"
+    );
+}
+
+#[test]
 fn reasoned_suppression_silences_and_is_inventoried() {
     let config = r#"
 [lock_order]

@@ -46,10 +46,9 @@ fn analysis_shape_is_sane_not_vacuous() {
         "ResultCache.inner",
         "ResultCache.floors",
         "ConnGate.used",
-        "WorkerSlot.intake",
         "ShardQueue.backlog",
-        "RouterSlot.arrivals",
-        "RouterSlot.completions",
+        "LoopSlot.arrivals",
+        "LoopSlot.completions",
         "Slot.cell",
     ] {
         assert!(
@@ -71,13 +70,13 @@ fn analysis_shape_is_sane_not_vacuous() {
         );
     }
 
-    // The hot-path closure must cover the event loops and the frame
-    // decoder — the regression surface of the PR-6 fixes plus the
-    // sharded router loop.
+    // The hot-path closure must cover the one event loop, its
+    // request-extraction path, the request handler it answers through
+    // and the frame decoder — the regression surface of the PR-6 fixes.
     for f in [
-        "worker_event_loop",
-        "router_event_loop",
-        "Connection::process_one",
+        "event_loop",
+        "Connection::extract",
+        "handle_fields",
         "decode_request_payload",
     ] {
         assert!(
